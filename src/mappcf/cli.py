@@ -44,25 +44,43 @@ def _read_priority(path) -> tuple:
     return tuple(int(t) for t in toks)
 
 
+def _run_algo(inst: Instance, algo: str, cfg: SolverConfig):
+    """Run one solver; returns (solution or None, status, runtime in s).
+
+    ``disjoint`` reads only the model, detector and deadline of ``cfg``.
+    """
+    if algo == "dcrf":
+        res = dcrf.solve(inst, cfg)
+    else:
+        res = solve_disjoint(inst, model=cfg.model, fd=cfg.fd, deadline=cfg.deadline)
+    return res.solution, res.status, res.runtime
+
+
+def _scen_instance(graph, scen_path, n: int, f: int, name: str) -> Instance:
+    """Instance from the first ``n`` rows of a scenario file; raises
+    ValueError if it is malformed (e.g. two agents share a start)."""
+    starts, goals = fileio.parse_scen(Path(scen_path).read_text(), n, graph)
+    inst = Instance(graph=graph, starts=starts, goals=goals, f=f, name=name)
+    problems = validate_instance(inst)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return inst
+
+
 def _cmd_solve(args) -> int:
     inst = fileio.read_instance(args.instance)
     if args.f is not None:
         inst = replace(inst, f=args.f)
     priority = _read_priority(args.priority) if args.priority else None
-    if args.algo == "dcrf":
-        cfg = SolverConfig(
-            model=args.model,
-            fd=args.fd,
-            deadline=args.timeout,
-            seed=args.seed,
-            refine=args.refine == "on",
-            priority=priority,
-        )
-        res = dcrf.solve(inst, cfg)
-        sol, reason, runtime = res.solution, res.status, res.runtime
-    else:
-        dres = solve_disjoint(inst, model=args.model, fd=args.fd, deadline=args.timeout)
-        sol, reason, runtime = dres.solution, dres.status, dres.runtime
+    cfg = SolverConfig(
+        model=args.model,
+        fd=args.fd,
+        deadline=args.timeout,
+        seed=args.seed,
+        refine=args.refine == "on",
+        priority=priority,
+    )
+    sol, reason, runtime = _run_algo(inst, args.algo, cfg)
     if sol is None:
         print(f"failure reason={reason} runtime_ms={int(runtime * 1000)}")
         return 2
@@ -153,17 +171,7 @@ def _cmd_gen(args) -> int:
         graph = fileio.parse_map(Path(args.map).read_text())
         stem = Path(args.map).stem
         if args.scen:
-            starts, goals = fileio.parse_scen(Path(args.scen).read_text(), args.n, graph)
-            inst = Instance(
-                graph=graph,
-                starts=starts,
-                goals=goals,
-                f=args.f,
-                name=f"{stem}-n{args.n}-f{args.f}",
-            )
-            problems = validate_instance(inst)
-            if problems:
-                raise ValueError("; ".join(problems))
+            inst = _scen_instance(graph, args.scen, args.n, args.f, f"{stem}-n{args.n}-f{args.f}")
         else:
             inst = gen.gen_well_formed(graph, args.n, args.f, args.seed)
             inst = replace(inst, name=f"{stem}-n{args.n}-f{args.f}-s{args.seed}")
@@ -184,7 +192,13 @@ def _cmd_gen(args) -> int:
 # --- bench -----------------------------------------------------------------
 
 
+_BENCH_KEYS = ("map", "scen", "n", "f", "models", "fds", "algos", "seeds", "timeout")
+
+
 def _bench_tasks(config: dict, base: Path) -> list[dict]:
+    unknown = sorted(set(config) - set(_BENCH_KEYS))
+    if unknown:
+        raise ValueError(f"bench config: unknown keys {unknown}")
     for key in ("map", "n", "f", "seeds"):
         if key not in config:
             raise ValueError(f"bench config: missing key {key!r}")
@@ -231,12 +245,7 @@ def bench_worker(task: dict) -> dict:
     graph = fileio.parse_map(Path(task["map"]).read_text())
     try:
         if task["scen"]:
-            starts, goals = fileio.parse_scen(
-                Path(task["scen"]).read_text(), task["n"], graph
-            )
-            inst = Instance(
-                graph=graph, starts=starts, goals=goals, f=task["f"], name=""
-            )
+            inst = _scen_instance(graph, task["scen"], task["n"], task["f"], "")
         else:
             inst = gen.gen_well_formed(graph, task["n"], task["f"], task["seed"])
     except gen.GiveUp:
@@ -248,22 +257,10 @@ def bench_worker(task: dict) -> dict:
         )
         return row
     inst = replace(inst, name=row["instance_id"])
-    if task["algo"] == "dcrf":
-        res = dcrf.solve(
-            inst,
-            SolverConfig(
-                model=task["model"],
-                fd=task["fd"],
-                deadline=task["timeout"],
-                seed=task["seed"],
-            ),
-        )
-        sol, status, runtime = res.solution, res.status, res.runtime
-    else:
-        dres = solve_disjoint(
-            inst, model=task["model"], fd=task["fd"], deadline=task["timeout"]
-        )
-        sol, status, runtime = dres.solution, dres.status, dres.runtime
+    cfg = SolverConfig(
+        model=task["model"], fd=task["fd"], deadline=task["timeout"], seed=task["seed"]
+    )
+    sol, status, runtime = _run_algo(inst, task["algo"], cfg)
     row["runtime_ms"] = int(runtime * 1000)
     if sol is not None:
         row["outcome"] = "solved"

@@ -122,8 +122,6 @@ def bfs_distances(
 
 
 def reachable(graph: Graph, source: int, target: int, blocked=frozenset()) -> bool:
-    if source == target:
-        return source not in blocked
     return bfs_distances(graph, source, blocked)[target] >= 0
 
 

@@ -150,7 +150,6 @@ class Planner:
         self.inst = inst
         self.cfg = config if config is not None else SolverConfig()
         self.deadline_at = deadline_at
-        g = inst.graph
         n = inst.n_agents
         self.paths: list[list[Path]] = [[] for _ in range(n)]
         self.entry: list[list[int]] = [[] for _ in range(n)]
@@ -181,25 +180,31 @@ class Planner:
             res = (frozenset(),)
         else:
             pp, _idx, cands = edge
-            out = set()
-            for alt in self._alts(a, pp):
-                for c in cands:
-                    if any(c2.agent == c.agent and c2 != c for c2 in alt):
-                        continue
-                    out.add(alt | {c})
-            res = tuple(sorted(out, key=lambda s: sorted(c.sort_key() for c in s)))
+            res = self._probe_alts(a, pp, cands)
         self._alt_memo[key] = res
         return res
 
-    def _compatible(self, a: int, pa: int, b: int, pb: int) -> bool:
-        """Can agent a's path pa and agent b's path pb co-execute?
+    def _probe_alts(self, a: int, p: int, cands) -> "tuple[frozenset, ...]":
+        """Alternatives of a's path p, each extended by one crash candidate
+        that does not contradict it."""
+        out = set()
+        for alt in self._alts(a, p):
+            for c in cands:
+                if any(c2.agent == c.agent and c2 != c for c2 in alt):
+                    continue
+                out.add(alt | {c})
+        return tuple(sorted(out, key=lambda s: sorted(c.sort_key() for c in s)))
+
+    def _compatible(self, alts_a, a: int, b: int, pb: int) -> bool:
+        """Can agent a, under crash alternatives ``alts_a``, and agent b's
+        path pb co-execute?
 
         Needs one alternative on each side such that neither assumes the
         other path's owner crashed and the combined assumptions are
         consistent within the crash budget.
         """
         f = self.inst.f
-        for alt_a in self._alts(a, pa):
+        for alt_a in alts_a:
             if any(c.agent == b for c in alt_a):
                 continue
             for alt_b in self._alts(b, pb):
@@ -374,33 +379,26 @@ class Planner:
                 out.append((Crash(b, v, None), Effect(a, pa, v, first, None)))
         return out
 
-    def _gen_events_for(self, a: int, pa: int) -> None:
-        """Queue events between path (a, pa) and every compatible path (both
-        directions), deduplicating crashes already seen and merging
-        indistinguishable candidates into a single event."""
-        batch: dict = {}
-        for b in self.inst.agents():
-            if b == a:
-                continue
-            for pb in range(len(self.paths[b])):
-                if not self._compatible(a, pa, b, pb):
-                    continue
-                for cr, eff in self._pair_candidates(a, pa, b, pb):
-                    self._collect(batch, cr, eff)
-                for cr, eff in self._pair_candidates(b, pb, a, pa):
-                    self._collect(batch, cr, eff)
-        self._flush(batch)
+    def _gen_events_for(self, keys) -> None:
+        """Queue events between each path (a, pa) in ``keys`` and every
+        compatible path (both directions), deduplicating crashes already
+        seen and merging indistinguishable candidates into a single event.
 
-    def _gen_initial_events(self) -> None:
+        All keys share one batch: under the anonymous detector only crashes
+        collected into the same batch merge."""
         batch: dict = {}
-        for a in self.inst.agents():
+        for a, pa in keys:
+            alts_a = self._alts(a, pa)
             for b in self.inst.agents():
                 if b == a:
                     continue
-                if not self._compatible(a, 0, b, 0):
-                    continue
-                for cr, eff in self._pair_candidates(a, 0, b, 0):
-                    self._collect(batch, cr, eff)
+                for pb in range(len(self.paths[b])):
+                    if not self._compatible(alts_a, a, b, pb):
+                        continue
+                    for cr, eff in self._pair_candidates(a, pa, b, pb):
+                        self._collect(batch, cr, eff)
+                    for cr, eff in self._pair_candidates(b, pb, a, pa):
+                        self._collect(batch, cr, eff)
         self._flush(batch)
 
     def _collect(self, batch: dict, cr: Crash, eff: Effect) -> None:
@@ -459,7 +457,7 @@ class Planner:
                 if b == a:
                     continue
                 for pb in range(len(self.paths[b])):
-                    if self._alt_compatible(probe, a, b, pb):
+                    if self._compatible(probe, a, b, pb):
                         res.add_path(self.paths[b][pb], self.entry[b][pb])
             cons = SynConstraints(blocked=frozenset(blocked), reservations=res)
             return find_path_syn(
@@ -471,30 +469,9 @@ class Planner:
             if b == a:
                 continue
             for pb in range(len(self.paths[b])):
-                if self._alt_compatible(probe, a, b, pb):
+                if self._compatible(probe, a, b, pb):
                     forbidden.update(self.paths[b][pb])
         return find_path_seq(inst.graph, branch_v, inst.goals[a], frozenset(forbidden))
-
-    def _probe_alts(self, a: int, p: int, cands) -> "tuple[frozenset, ...]":
-        out = set()
-        for alt in self._alts(a, p):
-            for c in cands:
-                if any(c2.agent == c.agent and c2 != c for c2 in alt):
-                    continue
-                out.add(alt | {c})
-        return tuple(sorted(out, key=lambda s: sorted(c.sort_key() for c in s)))
-
-    def _alt_compatible(self, probe, a: int, b: int, pb: int) -> bool:
-        f = self.inst.f
-        for alt_a in probe:
-            if any(c.agent == b for c in alt_a):
-                continue
-            for alt_b in self._alts(b, pb):
-                if any(c.agent == a for c in alt_b):
-                    continue
-                if _coexists(alt_a, alt_b, f):
-                    return True
-        return False
 
     # -- stage 4: resolution loop -----------------------------------------
 
@@ -564,7 +541,7 @@ class Planner:
         else:
             self.rules[a].append(rule)
         self.rule_target[rkey] = np
-        self._gen_events_for(a, np)
+        self._gen_events_for([(a, np)])
         return "ok"
 
     def _extend_backup(self, a: int, target: int, cands) -> str:
@@ -586,15 +563,16 @@ class Planner:
                     subtree.append(q)
             i += 1
         for sigma in subtree:
+            alts = self._alts(a, sigma)
             for b in self.inst.agents():
                 if b == a:
                     continue
                 for pb in range(len(self.paths[b])):
-                    if not self._compatible(a, sigma, b, pb):
+                    if not self._compatible(alts, a, b, pb):
                         continue
                     if self._paths_conflict(a, sigma, b, pb):
                         return "no_backup"
-            self._gen_events_for(a, sigma)
+            self._gen_events_for([(a, sigma)])
         return "ok"
 
     def _paths_conflict(self, a: int, pa: int, b: int, pb: int) -> bool:
@@ -613,7 +591,7 @@ class Planner:
         return not res.free_forever(path_a[-1], t + len(path_a))
 
     def run_events(self) -> str:
-        self._gen_initial_events()
+        self._gen_events_for([(a, 0) for a in self.inst.agents()])
         while self.queue:
             self._tick()
             _key, ev = heapq.heappop(self.queue)

@@ -19,16 +19,18 @@ import functools
 import heapq
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .core import (
+    DETECTORS,
+    MODELS,
     NFD,
     SYN,
     Instance,
     Path,
     Plan,
     Solution,
+    bfs_distances,
     reachable,
     validate_instance,
 )
@@ -54,27 +56,6 @@ class DisjointResult:
     @property
     def ok(self) -> bool:
         return self.status == "solved"
-
-
-def _bfs_len(graph, start: int, goal: int, blocked) -> "int | None":
-    """Shortest start-goal distance avoiding ``blocked``, or None."""
-    if start in blocked or goal in blocked:
-        return None
-    if start == goal:
-        return 0
-    dist = [-1] * graph.n
-    dist[start] = 0
-    queue = deque((start,))
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in graph.adj[u]:
-            if dist[w] < 0 and w not in blocked:
-                if w == goal:
-                    return du
-                dist[w] = du
-                queue.append(w)
-    return None
 
 
 def _pick_conflict(paths, sets, forbids, replan_len):
@@ -128,6 +109,10 @@ def solve_disjoint(
     problems = validate_instance(inst)
     if problems:
         raise ValueError("; ".join(problems))
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if fd not in DETECTORS:
+        raise ValueError(f"unknown failure detector {fd!r}")
     t0 = time.monotonic()
     # cpu-time budget so verdicts do not depend on machine load (see solve())
     deadline_at = None if deadline is None else time.process_time() + deadline
@@ -143,7 +128,8 @@ def solve_disjoint(
     @functools.lru_cache(maxsize=1 << 20)
     def replan_len(a: int, forbidden: frozenset):
         # pure in (a, forbidden); sibling nodes probe the same keys a lot
-        return _bfs_len(inst.graph, inst.starts[a], inst.goals[a], forbidden)
+        d = bfs_distances(inst.graph, inst.starts[a], forbidden)[inst.goals[a]]
+        return d if d >= 0 else None
 
     n = inst.n_agents
     # quick necessary condition: in a disjoint tuple, every other agent's

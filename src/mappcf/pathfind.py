@@ -4,8 +4,10 @@ Two searches live here. ``find_path_syn`` plans in space-time against timed
 reservations of other agents (synchronous model): it returns the shortest
 path, breaking ties first by how few penalized vertices it enters and then
 by lexicographically smallest vertex sequence, so planning is reproducible
-bit for bit. ``find_path_seq`` is a plain BFS shortest simple path avoiding
-a forbidden vertex set, with the same lexicographic tie-break.
+bit for bit. ``find_path_seq`` finds the shortest simple path avoiding a
+forbidden vertex set, with the same tie-breaks, from a single BFS toward
+the goal: a step stays on a shortest path exactly when it lowers the
+distance to the goal by one.
 """
 
 from __future__ import annotations
@@ -199,57 +201,46 @@ def find_path_seq(graph: Graph, start: int, goal: int, forbidden=frozenset(), pe
     penalty set this is the plain lex-first shortest path. Follows edge
     direction on directed graphs. Returns a tuple of vertices or None.
     ``start == goal`` yields the single-vertex path.
+
+    One BFS toward the goal (on the reversed graph when directed) gives
+    each vertex's distance to the goal. A step stays on a shortest path
+    exactly when it lowers that distance by one, so no distances from the
+    start are needed: the shortest paths are layered out from the start,
+    a backward pass over the layers counts the fewest penalized entries
+    still ahead, and the walk takes the smallest step that keeps it.
     """
     if start in forbidden or goal in forbidden:
         return None
     if start == goal:
         return (start,)
-    dist_s = bfs_distances(graph, start, frozenset(forbidden))
-    if dist_s[goal] < 0:
+    toward = Graph(n=graph.n, adj=_reverse_adj(graph), directed=graph.directed)
+    dist = bfs_distances(toward, goal, frozenset(forbidden))
+    if dist[start] < 0:
         return None
-    length = dist_s[goal]
-    rev = _reverse_adj(graph)
-    # distance to goal along allowed edges (BFS on the reverse graph)
-    dist_g = [-1] * graph.n
-    dist_g[goal] = 0
-    queue = [goal]
-    while queue:
-        new = []
-        for u in queue:
-            for w in rev[u]:
-                if dist_g[w] == -1 and w not in forbidden:
-                    dist_g[w] = dist_g[u] + 1
-                    new.append(w)
-        queue = new
-    # vertices on some shortest path, grouped by distance from the start
-    layers: list[list[int]] = [[] for _ in range(length + 1)]
-    for v in range(graph.n):
-        if dist_s[v] >= 0 and dist_g[v] >= 0 and dist_s[v] + dist_g[v] == length:
-            layers[dist_s[v]].append(v)
-    # fewest penalized vertices reachable from here to the goal
+    # vertices on some shortest path, one layer per step from the start
+    adj = graph.adj
+    layers = [{start}]
+    for d in range(dist[start] - 1, 0, -1):
+        layers.append({w for v in layers[-1] for w in adj[v] if dist[w] == d})
+    # fewest penalized vertices entered from here to the goal
     pen = {goal: 0}
-    for k in range(length - 1, -1, -1):
-        for v in layers[k]:
+    for layer in reversed(layers):
+        for v in layer:
+            down = dist[v] - 1
             best = None
-            for w in graph.adj[v]:
-                if dist_s[w] != k + 1 or w not in pen:
-                    continue
-                p = pen[w] + (1 if w in penalty else 0)
-                if best is None or p < best:
-                    best = p
-            assert best is not None, "BFS distances disagree on a shortest path"
+            for w in adj[v]:
+                if dist[w] == down:
+                    p = pen[w] + (1 if w in penalty else 0)
+                    if best is None or p < best:
+                        best = p
             pen[v] = best
     out = [start]
     v = start
-    for k in range(length):
-        step = None
-        for w in graph.adj[v]:
-            if dist_s[w] != k + 1 or w not in pen:
-                continue
-            if pen[v] == pen[w] + (1 if w in penalty else 0):
-                step = w
+    while v != goal:
+        down = dist[v] - 1
+        for w in adj[v]:
+            if dist[w] == down and pen[w] + (1 if w in penalty else 0) == pen[v]:
                 break
-        assert step is not None, "penalty table disagrees with itself"
-        out.append(step)
-        v = step
+        out.append(w)
+        v = w
     return tuple(out)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 
 from .core import SEQ, SYN, Instance, Solution, validate_solution
@@ -200,49 +201,41 @@ def verify_seq(
     index = {init: 0}
     states = [init]
     edges: list[list[tuple[int, str, int]]] = [[]]  # (dest, op, agent)
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for si in frontier:
+
+    def insert(nxt) -> int:
+        """Index of state ``nxt``, appended (and so queued) if new."""
+        di = index.get(nxt)
+        if di is None:
+            di = len(states)
+            index[nxt] = di
+            states.append(nxt)
+            edges.append([])
+            if len(states) > state_cap:
+                raise _TooLarge
+        return di
+
+    # breadth-first: states are numbered in discovery order, so scanning
+    # them by index is the queue
+    si = 0
+    try:
+        while si < len(states):
             cfg, budget = states[si]
             for a, st in enumerate(cfg):
                 if st.status == CORRECT_ST:
-                    nxt = (activate_seq(inst, sol, cfg, a), budget)
-                    di = index.get(nxt)
-                    if di is None:
-                        di = len(states)
-                        index[nxt] = di
-                        states.append(nxt)
-                        edges.append([])
-                        new_frontier.append(di)
-                        if len(states) > state_cap:
-                            return VerifyResult(
-                                "too_large",
-                                SEQ,
-                                budget0,
-                                states_explored=len(states),
-                                reason=f"more than {state_cap} reachable states",
-                            )
+                    di = insert((activate_seq(inst, sol, cfg, a), budget))
                     edges[si].append((di, "activate", a))
                 if st.status != CRASHED_ST and budget > 0:
-                    nxt = (crash_seq(inst, sol, cfg, a), budget - 1)
-                    di = index.get(nxt)
-                    if di is None:
-                        di = len(states)
-                        index[nxt] = di
-                        states.append(nxt)
-                        edges.append([])
-                        new_frontier.append(di)
-                        if len(states) > state_cap:
-                            return VerifyResult(
-                                "too_large",
-                                SEQ,
-                                budget0,
-                                states_explored=len(states),
-                                reason=f"more than {state_cap} reachable states",
-                            )
+                    di = insert((crash_seq(inst, sol, cfg, a), budget - 1))
                     edges[si].append((di, "crash", a))
-        frontier = new_frontier
+            si += 1
+    except _TooLarge:
+        return VerifyResult(
+            "too_large",
+            SEQ,
+            budget0,
+            states_explored=len(states),
+            reason=f"more than {state_cap} reachable states",
+        )
 
     n_states = len(states)
 
@@ -292,8 +285,6 @@ def verify_seq(
 
 def _actions_to(states, edges, target: int) -> list:
     """Shortest action prefix from the initial state to ``target`` (BFS order)."""
-    from collections import deque
-
     parent: dict[int, tuple[int, str, int]] = {0: (-1, "", -1)}
     q = deque([0])
     while q:
@@ -409,8 +400,6 @@ def _fair_livelock(inst: Instance, states, edges) -> "Counterexample | None":
 
 def _cover_cycle(entry: int, comp: set, act_edges, must_use) -> list:
     """Closed activate-only walk from ``entry`` using every edge in must_use."""
-    from collections import deque
-
     def walk(src: int, dst: int) -> list:
         if src == dst:
             return []

@@ -3,7 +3,10 @@
 import json
 import re
 
-from mappcf import cli, fileio
+import pytest
+
+from mappcf import cli, dcrf, fileio
+from mappcf.core import normalized_cost
 from mappcf.gen import random_grid_map
 from mappcf.fileio import scen_text
 
@@ -227,3 +230,51 @@ class TestBench:
             return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
 
         assert scrub(one) == scrub(two)
+
+    def test_unknown_config_key_is_an_error(self, tmp_path):
+        (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))
+        config = dict(self.CONFIG, model=["seq"])  # typo for "models"
+        with pytest.raises(ValueError, match="unknown keys"):
+            cli.run_bench(config, 1, tmp_path / "out.csv", base_dir=tmp_path)
+
+
+class TestBenchScen:
+    def task(self, data_dir, scen, algo="dcrf"):
+        return {
+            "map": str(data_dir / "random-16-16-10.map"),
+            "map_name": "random-16-16-10.map",
+            "scen": str(scen),
+            "n": 2,
+            "f": 1,
+            "model": "syn",
+            "fd": "nfd",
+            "algo": algo,
+            "seed": 0,
+            "timeout": 10,
+        }
+
+    def test_row_matches_gen_scen_instance(self, data_dir, tmp_path):
+        row = cli.bench_worker(self.task(data_dir, data_dir / "sample.scen"))
+        out = tmp_path / "inst.json"
+        code = run_cli(
+            "gen", "random", "--map", str(data_dir / "random-16-16-10.map"),
+            "--scen", str(data_dir / "sample.scen"),
+            "--n", "2", "--f", "1", "--out", str(out),
+        )
+        assert code == 0
+        inst = fileio.read_instance(out)
+        res = dcrf.solve(inst, dcrf.SolverConfig(model="syn", fd="nfd", deadline=10, seed=0))
+        assert res.ok
+        assert (row["instance_id"], row["outcome"], row["cost_normalized"]) == (
+            "random-16-16-10-n2-f1-s0", "solved", normalized_cost(inst, res.solution)
+        )
+
+    def test_duplicate_starts_are_rejected(self, data_dir, tmp_path):
+        rows = (data_dir / "sample.scen").read_text().splitlines()
+        dup = rows[1].split("\t")
+        dup[6:8] = rows[2].split("\t")[6:8]  # same start cell, other goal
+        scen = tmp_path / "dup.scen"
+        scen.write_text("\n".join([rows[0], rows[1], "\t".join(dup)]) + "\n")
+        for algo in ("dcrf", "disjoint"):
+            with pytest.raises(ValueError, match="starts are not pairwise distinct"):
+                cli.bench_worker(self.task(data_dir, scen, algo))

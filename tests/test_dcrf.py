@@ -13,8 +13,9 @@ from mappcf.core import (
     crashed,
     validate_solution,
 )
-from mappcf.dcrf import Crash, SolverConfig, prune_inconsistent, solve
-from mappcf.gen import fixture, grid_graph
+from mappcf.dcrf import Crash, Effect, Event, SolverConfig, prune_inconsistent, solve
+from mappcf.fileio import parse_map
+from mappcf.gen import fixture, gen_well_formed, grid_graph, random_grid_map
 from mappcf.verify import verify, verify_syn
 
 
@@ -147,6 +148,19 @@ class TestIncompletenessFixture:
             (2, 3, 2, 0, 0, 3, 4, 4),
             (1, 1, 3, 0, 1, 1, 2, 4),
         ]
+
+
+class TestAnonymousMerging:
+    def test_initial_events_merge_across_agents(self):
+        # the initial events of all primaries form one batch, so under afd
+        # crashes of different agents at one vertex merge into one event
+        g = parse_map(random_grid_map(8, 8, seed=0))
+        inst = gen_well_formed(g, 3, 2, 9)
+        res = solve(inst, SolverConfig(model=SYN, fd="afd", priority=(0, 1, 2)))
+        assert res.status == "no_backup"
+        assert len(res.events) == 13
+        merged = Event(Crash(0, 23, 3), Effect(1, 0, 23, 4, 4), merged=(Crash(2, 23, 1),))
+        assert merged in res.events
 
 
 class TestFailureModes:

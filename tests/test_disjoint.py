@@ -124,6 +124,14 @@ class TestMechanics:
         with pytest.raises(ValueError):
             solve_disjoint(inst)
 
+    def test_unknown_model_or_fd_raises(self):
+        # a solved verdict would carry a Solution that validate_solution rejects
+        fx = fixture("fig8")
+        with pytest.raises(ValueError, match="unknown model"):
+            solve_disjoint(fx.instance, model="sync")
+        with pytest.raises(ValueError, match="unknown failure detector"):
+            solve_disjoint(fx.instance, fd="pfd")
+
     def test_runtime_reported(self):
         fx = fixture("fig8")
         res = solve_disjoint(fx.instance)

@@ -10,6 +10,7 @@ from mappcf.pathfind import (
     find_path_seq,
     find_path_syn,
 )
+from oracles import simple_paths
 
 
 def random_connected_graph(rng, n):
@@ -98,6 +99,30 @@ class TestFindPathSeq:
         g = Graph.build(3, [(0, 1), (1, 2)], directed=True)
         assert find_path_seq(g, 0, 2) == (0, 1, 2)
         assert find_path_seq(g, 2, 0) is None
+
+    def test_matches_simple_path_oracle(self):
+        # shortest, then fewest penalized entries after the start, then
+        # lexicographically smallest; directed and undirected, with
+        # forbidden vertices (start and goal included now and then)
+        rng = random.Random(2024)
+        found = 0
+        for case in range(400):
+            n = rng.randrange(4, 10)
+            directed = case % 2 == 1
+            edges = {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n, 3 * n))}
+            g = Graph.build(n, sorted(edges), directed=directed)
+            s, t = rng.randrange(n), rng.randrange(n)
+            forbidden = frozenset(rng.sample(range(n), rng.randrange(3)))
+            penalty = frozenset(rng.sample(range(n), rng.randrange(n)))
+            paths = [p for p in simple_paths(g, s, t) if not forbidden & set(p)]
+            want = min(
+                paths,
+                key=lambda p: (len(p), sum(1 for v in p[1:] if v in penalty), p),
+                default=None,
+            )
+            assert find_path_seq(g, s, t, forbidden, penalty) == want, case
+            found += want is not None
+        assert 100 < found < 400  # both verdicts well represented
 
 
 class TestReservations:
