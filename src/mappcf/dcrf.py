@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import (
@@ -351,26 +352,21 @@ class Planner:
         if self.cfg.model == SYN:
             ea = self.entry[a][pa]
             eb = self.entry[b][pb]
+            # ascending times of b at each vertex, 1-based positions of a
             times_b: dict[int, list[int]] = {}
             for k, v in enumerate(path_b):
                 times_b.setdefault(v, []).append(eb + k)
-            for tb_list in times_b.values():
-                tb_list.sort()
-            seen_here = set()
-            for v, tb_list in sorted(times_b.items()):
-                for tb in tb_list:
-                    first = None
-                    for i in range(1, len(path_a) + 1):
-                        if path_a[i - 1] == v and ea + i - 1 > tb:
-                            first = i
-                            break
-                    if first is None or first < 2:
-                        continue
-                    cr = Crash(b, v, tb)
-                    if cr in seen_here:
-                        continue
-                    seen_here.add(cr)
-                    out.append((cr, Effect(a, pa, v, first, ea + first - 1)))
+            pos_a: dict[int, list[int]] = {}
+            for i, v in enumerate(path_a, 1):
+                pos_a.setdefault(v, []).append(i)
+            for v in sorted(times_b.keys() & pos_a.keys()):
+                at = pos_a[v]
+                for tb in times_b[v]:
+                    # a is blocked at its first visit to v after time tb
+                    j = bisect_right(at, tb - ea + 1)
+                    if j < len(at) and at[j] >= 2:
+                        eff = Effect(a, pa, v, at[j], ea + at[j] - 1)
+                        out.append((Crash(b, v, tb), eff))
         else:
             for v in sorted(set(path_a) & set(path_b)):
                 first = path_a.index(v) + 1

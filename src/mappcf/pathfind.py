@@ -4,10 +4,13 @@ Two searches live here. ``find_path_syn`` plans in space-time against timed
 reservations of other agents (synchronous model): it returns the shortest
 path, breaking ties first by how few penalized vertices it enters and then
 by lexicographically smallest vertex sequence, so planning is reproducible
-bit for bit. ``find_path_seq`` finds the shortest simple path avoiding a
-forbidden vertex set, with the same tie-breaks, from a single BFS toward
-the goal: a step stays on a shortest path exactly when it lowers the
-distance to the goal by one.
+bit for bit. When no path exists it stops as soon as the set of reachable
+vertices repeats after the last reservation: from then on every step is
+the same, so the set, and the verdict, would repeat up to the horizon.
+``find_path_seq`` finds the shortest simple path avoiding a forbidden
+vertex set, with the same tie-breaks, from a single BFS toward the goal:
+a step stays on a shortest path exactly when it lowers the distance to
+the goal by one.
 """
 
 from __future__ import annotations
@@ -24,11 +27,23 @@ class Reservations:
     (1-based) at time ``T+k-1``; its final vertex stays occupied forever
     afterwards (the owner sits there once done). Edge traversals are kept so
     a search can refuse head-on swaps.
+
+    Everything is indexed by time, so a search can apply one time step's
+    constraints to a whole layer with set operations:
+
+    * ``_occupied[t]``: the vertices some path holds at time ``t``;
+    * ``_moves[t]``: the hops ``(u, v)`` that leave ``u`` at time ``t`` and
+      reach ``v`` at ``t+1`` (waits are not hops);
+    * ``_forever[v]``: the earliest time from which ``v`` is held for good;
+    * ``_last[v]``: the latest time any path holds ``v``.
+
+    ``max_time`` is the latest time of any path vertex. After it nothing is
+    held by time, and no hop starts at or after it.
     """
 
     def __init__(self):
-        self._at: set[tuple[int, int]] = set()
-        self._moves: set[tuple[int, int, int]] = set()
+        self._occupied: dict[int, set[int]] = {}
+        self._moves: dict[int, set[tuple[int, int]]] = {}
         self._forever: dict[int, int] = {}
         self._last: dict[int, int] = {}
         self.max_time = 0
@@ -38,11 +53,11 @@ class Reservations:
             return
         for k, v in enumerate(path):
             t = start_time + k
-            self._at.add((v, t))
+            self._occupied.setdefault(t, set()).add(v)
             if t > self._last.get(v, 0):
                 self._last[v] = t
             if k + 1 < len(path) and path[k + 1] != v:
-                self._moves.add((v, path[k + 1], t))
+                self._moves.setdefault(t, set()).add((v, path[k + 1]))
         end_t = start_time + len(path) - 1
         last_v = path[-1]
         held = self._forever.get(last_v)
@@ -55,11 +70,11 @@ class Reservations:
         held = self._forever.get(v)
         if held is not None and t >= held:
             return True
-        return (v, t) in self._at
+        return v in self._occupied.get(t, ())
 
     def swap(self, u: int, v: int, t: int) -> bool:
         """True if someone moves v->u between t and t+1 (head-on with u->v)."""
-        return (v, u, t) in self._moves
+        return (v, u) in self._moves.get(t, ())
 
     def free_forever(self, v: int, t: int) -> bool:
         """No reservation touches v at any time >= t."""
@@ -100,6 +115,25 @@ def find_path_syn(
     Ties broken by (fewest penalized entries, lexicographically smallest
     vertex sequence). Returns a tuple, or None if no path exists within the
     search horizon ``|V| + latest reservation time + f*|V|``.
+
+    Phase 1 grows the layer of vertices reachable at each time, one set
+    expression per step, until the goal is acceptable. It gives up early,
+    with the same answer the horizon would give, once ``t > max_time`` and
+    the next layer equals the current one. From then on the step from one
+    layer to the next is the same function at every time: nothing is held
+    by time after ``max_time``, no hop starts at or after it, and every
+    parked vertex is parked for good. Whether the goal is acceptable no
+    longer depends on the time either, since ``free_forever(goal, t)`` only
+    asks whether the goal is parked once ``t`` exceeds every timed hold. So
+    a layer that repeats repeats forever, and the goal is never reached.
+    (Layers only grow then, as waiting keeps every vertex.) The guard on
+    ``max_time`` matters: before it, a layer can stay the same for many
+    rounds while another agent holds a bridge, and then grow.
+
+    Phase 2 counts, backward over the layers, the fewest penalized entries
+    on a completion from each vertex, visiting only the vertices that can
+    still step into the next layer's completions. Phase 3 walks forward,
+    taking the smallest vertex that keeps that count.
     """
     cons = constraints if constraints is not None else SynConstraints()
     res = cons.reservations if cons.reservations is not None else Reservations()
@@ -109,50 +143,62 @@ def find_path_syn(
     horizon = graph.n + res.max_time + f * graph.n
     if start_time > horizon:
         return None
+    adj = graph.adj
+    pred = _reverse_adj(graph)
+    occupied, moves = res._occupied, res._moves
+    # vertices parked for good, released into ``parked`` as time passes
+    parks = sorted((t0, v) for v, t0 in res._forever.items())
+    parked: set[int] = set()
+    next_park = 0
 
     # Phase 1: forward reachable layers until the goal is reachable at a
     # time from which it stays unreserved forever.
     layers: list[set[int]] = [{start}]
-    arrival_k = None
     k = 0
     while True:
         t = start_time + k
-        if goal in layers[k] and res.free_forever(goal, t) and goal not in blocked:
-            arrival_k = k
+        cur = layers[k]
+        if goal in cur and res.free_forever(goal, t) and goal not in blocked:
             break
         if t >= horizon:
             return None
-        cur = layers[k]
-        nxt: set[int] = set()
-        for u in cur:
-            for w in (u, *graph.adj[u]):
-                if w in blocked:
-                    continue
-                if res.blocked_at(w, t + 1):
-                    continue
-                if w != u and res.swap(u, w, t):
-                    continue
-                nxt.add(w)
-        if not nxt:
+        while next_park < len(parks) and parks[next_park][0] <= t + 1:
+            parked.add(parks[next_park][1])
+            next_park += 1
+        nxt = cur.union(*[adj[u] for u in cur])
+        nxt.difference_update(blocked, parked, occupied.get(t + 1, ()))
+        hops = moves.get(t, ())
+        for p, q in hops:
+            # someone moves p->q, so our q->p is head-on: keep p only if
+            # another vertex of the layer enters it (p is held at t, so no
+            # one of ours waits there)
+            if q in cur and p in nxt and not any(
+                u in cur and (p, u) not in hops for u in pred[p]
+            ):
+                nxt.discard(p)
+        if not nxt or (t > res.max_time and nxt == cur):
             return None
         layers.append(nxt)
         k += 1
+    arrival_k = k
 
     # Phase 2: backward DP over the layers, minimizing penalized entries.
     # dp[k][v] = fewest penalized entries on a completion from (v, k).
+    penalty = cons.penalty
     dp: list[dict[int, int]] = [dict() for _ in range(arrival_k + 1)]
     dp[arrival_k][goal] = 0
     for kk in range(arrival_k - 1, -1, -1):
-        t = start_time + kk
+        hops = moves.get(start_time + kk, ())
         nxt_dp = dp[kk + 1]
-        for u in layers[kk]:
+        near = set(nxt_dp).union(*[pred[w] for w in nxt_dp])
+        for u in layers[kk] & near:
             best = None
-            for w in (u, *graph.adj[u]):
+            for w in (u, *adj[u]):
                 if w not in nxt_dp:
                     continue
-                if w != u and res.swap(u, w, t):
+                if w != u and (w, u) in hops:
                     continue
-                c = nxt_dp[w] + (1 if (w != u and w in cons.penalty) else 0)
+                c = nxt_dp[w] + (1 if (w != u and w in penalty) else 0)
                 if best is None or c < best:
                     best = c
             if best is not None:
@@ -164,16 +210,16 @@ def find_path_syn(
     out = [start]
     v = start
     for kk in range(arrival_k):
-        t = start_time + kk
+        hops = moves.get(start_time + kk, ())
         nxt_dp = dp[kk + 1]
         want = dp[kk][v]
         chosen = None
-        for w in sorted((v, *graph.adj[v])):
+        for w in sorted((v, *adj[v])):
             if w not in nxt_dp:
                 continue
-            if w != v and res.swap(v, w, t):
+            if w != v and (w, v) in hops:
                 continue
-            c = nxt_dp[w] + (1 if (w != v and w in cons.penalty) else 0)
+            c = nxt_dp[w] + (1 if (w != v and w in penalty) else 0)
             if c == want:
                 chosen = w
                 break

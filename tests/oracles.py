@@ -90,3 +90,90 @@ def brute_sat(clauses):
         if all(any(value[abs(l)] == (l > 0) for l in cl) for cl in clauses):
             return True
     return False
+
+
+def best_timed_walk(graph, start, goal, reserved=(), blocked=frozenset(),
+                    penalty=frozenset(), start_time=1, f=0):
+    """The timed walk ``find_path_syn`` must return, by exhaustive search.
+
+    ``reserved`` lists ``(path, t0)`` pairs: another agent is at ``path[k]``
+    at time ``t0 + k`` and stays on ``path[-1]`` for good afterwards. Our
+    walk is at its k-th vertex at time ``start_time + k``; each step waits
+    or follows an edge. It may never share a vertex with another agent at
+    the same time, never enter a blocked vertex, and never cross another
+    agent head-on along an edge. It must end on the goal at a time from
+    which no other agent ever touches the goal again, no later than the
+    horizon ``|V| + latest reserved time + f*|V|``.
+
+    A breadth-first search over (vertex, time) states finds the earliest
+    such arrival. A depth-first search then lists the walks of exactly that
+    length in lexicographic order and keeps the one entering the fewest
+    penalized vertices (waiting on one does not count again). It skips
+    states from which the goal is out of reach by the arrival time and
+    prefixes whose penalty already matches the best walk found, since
+    neither can yield a better walk. Returns a tuple or None.
+    """
+    held, parked, hops = {}, {}, set()
+    last = 0
+    for path, t0 in reserved:
+        for k, v in enumerate(path):
+            held.setdefault(t0 + k, set()).add(v)
+            if k + 1 < len(path) and path[k + 1] != v:
+                hops.add((path[k], path[k + 1], t0 + k))
+        end = t0 + len(path) - 1
+        parked[path[-1]] = min(end, parked.get(path[-1], end))
+        last = max(last, end)
+
+    def free(v, t):
+        return (v not in blocked and v not in held.get(t, ())
+                and not (v in parked and t >= parked[v]))
+
+    def moves(u, t):
+        return [w for w in sorted((u, *graph.adj[u]))
+                if free(w, t + 1) and (w == u or (w, u, t) not in hops)]
+
+    def settled(t):
+        return (goal not in blocked and goal not in parked
+                and all(goal not in vs for s, vs in held.items() if s >= t))
+
+    horizon = graph.n + last + f * graph.n
+    if start_time > horizon or not free(start, start_time):
+        return None
+    seen = {(start, start_time)}
+    frontier = [(start, start_time)]
+    arrival = None
+    while frontier and arrival is None:
+        following = []
+        for v, t in frontier:
+            if v == goal and settled(t):
+                arrival = t
+                break
+            if t < horizon:
+                for w in moves(v, t):
+                    if (w, t + 1) not in seen:
+                        seen.add((w, t + 1))
+                        following.append((w, t + 1))
+        frontier = following
+    if arrival is None:
+        return None
+
+    alive = {(goal, arrival)}
+    for t in range(arrival - 1, start_time - 1, -1):
+        for v in range(graph.n):
+            if (v, t) in seen and any((w, t + 1) in alive for w in moves(v, t)):
+                alive.add((v, t))
+    best = []
+
+    def extend(walk, t, cost):
+        if best and cost >= best[0]:
+            return
+        if t == arrival:
+            best[:] = [cost, tuple(walk)]
+            return
+        u = walk[-1]
+        for w in moves(u, t):
+            if (w, t + 1) in alive:
+                extend(walk + [w], t + 1, cost + (1 if w != u and w in penalty else 0))
+
+    extend([start], start_time, 0)
+    return best[1]

@@ -13,7 +13,15 @@ from mappcf.core import (
     crashed,
     validate_solution,
 )
-from mappcf.dcrf import Crash, Effect, Event, SolverConfig, prune_inconsistent, solve
+from mappcf.dcrf import (
+    Crash,
+    Effect,
+    Event,
+    Planner,
+    SolverConfig,
+    prune_inconsistent,
+    solve,
+)
 from mappcf.fileio import parse_map
 from mappcf.gen import fixture, gen_well_formed, grid_graph, random_grid_map
 from mappcf.verify import verify, verify_syn
@@ -42,6 +50,28 @@ class TestPruneInconsistent:
 
     def test_empty_contexts_coexist(self):
         assert not prune_inconsistent([], [], f=0)
+
+
+class TestPairCandidates:
+    def test_syn_candidates_match_brute_force(self):
+        # a crash of b on v at round tb blocks a at a's first visit to v
+        # after tb, unless that visit is a's first vertex; crashes come
+        # sorted by (vertex, round)
+        planner = Planner(fixture("fig1").instance, SolverConfig(model=SYN, fd=NFD))
+        rng = random.Random(12)
+        for _ in range(400):
+            path_a = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 10)))
+            path_b = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 10)))
+            ea, eb = rng.randrange(1, 5), rng.randrange(1, 5)
+            planner.paths = [[path_a], [path_b]]
+            planner.entry = [[ea], [eb]]
+            want = []
+            for v, tb in sorted({(v, eb + k) for k, v in enumerate(path_b)}):
+                later = [i for i in range(1, len(path_a) + 1)
+                         if path_a[i - 1] == v and ea + i - 1 > tb]
+                if later and later[0] >= 2:
+                    want.append((Crash(1, v, tb), Effect(0, 0, v, later[0], ea + later[0] - 1)))
+            assert planner._pair_candidates(0, 0, 1, 0) == want
 
 
 class TestTwoCorridor:

@@ -10,7 +10,7 @@ from mappcf.pathfind import (
     find_path_seq,
     find_path_syn,
 )
-from oracles import simple_paths
+from oracles import best_timed_walk, simple_paths
 
 
 def random_connected_graph(rng, n):
@@ -22,6 +22,17 @@ def random_connected_graph(rng, n):
         u, v = rng.sample(range(n), 2)
         edges.add(tuple(sorted((u, v))))
     return Graph.build(n, sorted(edges))
+
+
+def random_timed_walk(rng, g, length):
+    """A walk along g's edges that waits now and then."""
+    v = rng.randrange(g.n)
+    out = [v]
+    for _ in range(length - 1):
+        if g.adj[v] and rng.random() < 0.7:
+            v = rng.choice(g.adj[v])
+        out.append(v)
+    return tuple(out)
 
 
 def oracle_shortest_paths(g, s, t):
@@ -208,3 +219,48 @@ class TestFindPathSyn:
         assert late == (0, 1, 2)
         early = find_path_syn(g, 0, 2, SynConstraints(reservations=res), start_time=1)
         assert early == (0, 0, 1, 2)
+
+    def test_matches_space_time_oracle(self):
+        # directed and undirected graphs; other agents that wait, swap and
+        # park; blocked vertices, penalty sets, start times 1-3 and f 0-1
+        rng = random.Random(4)
+        found = 0
+        for case in range(1200):
+            n = rng.randrange(3, 8)
+            edges = {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n, 3 * n))}
+            g = Graph.build(n, sorted(edges), directed=case % 2 == 1)
+            reserved = [
+                (random_timed_walk(rng, g, rng.randrange(1, 2 * n)), rng.randrange(1, 4))
+                for _ in range(rng.randrange(4))
+            ]
+            blocked = frozenset(rng.sample(range(n), rng.randrange(3)))
+            penalty = frozenset(rng.sample(range(n), rng.randrange(n)))
+            s, t = rng.randrange(n), rng.randrange(n)
+            start_time, f = rng.randrange(1, 4), rng.randrange(2)
+            res = Reservations()
+            for path, t0 in reserved:
+                res.add_path(path, t0)
+            cons = SynConstraints(blocked=blocked, reservations=res, penalty=penalty)
+            want = best_timed_walk(g, s, t, reserved, blocked, penalty, start_time, f)
+            assert find_path_syn(g, s, t, cons, start_time, f) == want, case
+            found += want is not None
+        assert 250 < found < 950  # both verdicts well represented
+
+    def test_waits_out_a_long_hold_on_the_bridge(self):
+        # corridor 0-1-2-3-4 with a perch 5 on the bridge 2; the other agent
+        # holds 2 from round 2 to 13, so our layer stays {0, 1} for twelve
+        # rounds before the last reservation, and only then grows
+        g = Graph.build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+        res = Reservations()
+        res.add_path((5,) + (2,) * 12 + (5,), start_time=1)
+        p = find_path_syn(g, 0, 4, SynConstraints(reservations=res))
+        assert p == (0,) * 12 + (1, 2, 3, 4)
+
+    def test_walled_off_goal_with_late_reservations(self):
+        g = Graph.build(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+        res = Reservations()
+        res.add_path((0,) + (1,) * 29 + (2,), start_time=5)
+        assert res.max_time == 35
+        cons = SynConstraints(blocked=frozenset({4}), reservations=res)
+        assert find_path_syn(g, 6, 3, cons) is None
+        assert find_path_syn(g, 6, 3, cons, start_time=2, f=1) is None
