@@ -100,12 +100,14 @@ class Graph:
         return res
 
 
-def bfs_distances(
-    graph: Graph, source: int, blocked: "frozenset[int] | set[int]" = frozenset()
-) -> list[int]:
+def bfs_distances(graph: Graph, source: int, blocked=frozenset(), stop: int = -1) -> list[int]:
     """Hop distances from ``source`` (following edge direction); -1 = unreachable.
 
     Vertices in ``blocked`` are impassable; a blocked source reaches nothing.
+    The search returns as soon as it labels a vertex ``stop`` other than the
+    source. Every entry is then either -1 or its full-search value, and
+    every vertex closer than ``stop`` is labelled, since BFS labels by
+    nondecreasing distance.
     """
     dist = [-1] * graph.n
     if source in blocked:
@@ -117,12 +119,14 @@ def bfs_distances(
         for v in graph.adj[u]:
             if dist[v] == -1 and v not in blocked:
                 dist[v] = dist[u] + 1
+                if v == stop:
+                    return dist
                 q.append(v)
     return dist
 
 
 def reachable(graph: Graph, source: int, target: int, blocked=frozenset()) -> bool:
-    return bfs_distances(graph, source, blocked)[target] >= 0
+    return bfs_distances(graph, source, blocked, stop=target)[target] >= 0
 
 
 @dataclass(frozen=True)

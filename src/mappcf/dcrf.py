@@ -619,8 +619,9 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     if cfg.fd not in (NFD, AFD):
         raise ValueError(f"unknown failure detector {cfg.fd!r}")
     t0 = time.monotonic()
-    # the budget is cpu time, not wall time: concurrent benchmark workers
-    # sharing cores must reach the same verdicts as a serial run
+    # the budget is cpu time, not wall time, so concurrent benchmark workers
+    # sharing cores mostly reach a serial run's verdicts; contention still
+    # inflates cpu time, so a solve close to the budget can differ
     deadline_at = None if cfg.deadline is None else time.process_time() + cfg.deadline
     rng = random.Random(cfg.seed)
     n = inst.n_agents

@@ -7,15 +7,18 @@ coverage: disjoint tuples are often longer than coordinated routes and
 frequently do not exist at all.
 
 The search is a small conflict-based search. The high level picks a
-vertex shared by two planned paths and branches on which of the two
-agents must avoid it; the low level replans that one agent with plain
-BFS. Constraint sets only grow and the vertex set is finite, so an
-exhausted tree is a proof that no disjoint tuple exists.
+vertex shared by two planned paths, cardinal conflicts first, and
+branches on which of the two agents must avoid it. The low level replans
+that one agent with ``find_path_seq_cuts``, which returns the agent's
+shortest path under its constraints together with the path's cut set:
+the vertices every such shortest path visits. The cut sets classify the
+conflicts, so no search beyond the replan itself is needed. Constraint
+sets only grow and the vertex set is finite, so an exhausted tree is a
+proof that no disjoint tuple exists.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import time
@@ -30,11 +33,11 @@ from .core import (
     Path,
     Plan,
     Solution,
-    bfs_distances,
     reachable,
     validate_instance,
 )
-from .pathfind import find_path_seq
+# find_path_seq stays bound here: perfbench/tracer.py wraps it at this name
+from .pathfind import find_path_seq, find_path_seq_cuts  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -58,24 +61,28 @@ class DisjointResult:
         return self.status == "solved"
 
 
-def _pick_conflict(paths, sets, forbids, replan_len):
-    """Choose the conflict to branch on.
+def _pick_conflict(sets, cuts):
+    """Choose the conflict to branch on, cardinal first (as in ICBS).
 
-    Prefer a shared vertex whose avoidance lengthens both agents' paths
-    (branching there raises the cost bound immediately), then one that
-    lengthens at least one, then simply the first conflict in order. All
-    ties resolve by pair index and vertex number, so the choice is
-    deterministic.
+    A conflict of agents a and b at a shared vertex v is cardinal for a
+    when a cannot avoid v without a longer path (or none): the child that
+    forbids v to a then costs more than its parent. That is exactly
+    ``v in cuts[a]``. a's path is a shortest path under a's constraints,
+    and every such path visits exactly one vertex of each layer of the
+    shortest-path DAG (the MDD), so the paths that avoid v keep the length
+    if and only if v shares its layer with another vertex.
+
+    Prefer a conflict that is cardinal for both agents (branching there
+    raises the cost bound in both children), then a semi-cardinal one
+    (cardinal for one agent), then simply the first conflict. Ties resolve
+    by pair index and vertex number, so the choice is deterministic.
     """
     semi = None
     non = None
-    for a, b in itertools.combinations(range(len(paths)), 2):
+    for a, b in itertools.combinations(range(len(sets)), 2):
         shared = sorted(sets[a] & sets[b])
         for v in shared:
-            la = replan_len(a, forbids[a] | {v})
-            lb = replan_len(b, forbids[b] | {v})
-            worse_a = la is None or la > len(paths[a]) - 1
-            worse_b = lb is None or lb > len(paths[b]) - 1
+            worse_a, worse_b = v in cuts[a], v in cuts[b]
             if worse_a and worse_b:
                 return a, b, v
             if (worse_a or worse_b) and semi is None:
@@ -83,6 +90,11 @@ def _pick_conflict(paths, sets, forbids, replan_len):
             if non is None:
                 non = (a, b, v)
     return semi or non
+
+
+def _put(t: tuple, i: int, x) -> tuple:
+    """``t`` with its i-th entry replaced by ``x``."""
+    return t[:i] + (x,) + t[i + 1 :]
 
 
 def _conflict_count(sets) -> int:
@@ -114,22 +126,17 @@ def solve_disjoint(
     if fd not in DETECTORS:
         raise ValueError(f"unknown failure detector {fd!r}")
     t0 = time.monotonic()
-    # cpu-time budget so verdicts do not depend on machine load (see solve())
+    # cpu-time budget, as in solve(): steadier than wall time under load, but
+    # contention still inflates cpu time, so a verdict near the budget can vary
     deadline_at = None if deadline is None else time.process_time() + deadline
 
     def replan(a: int, forbidden: frozenset, others):
         # among shortest paths, steer away from the other agents' current
         # routes; the plateau of equal-cost grid paths is huge otherwise
         penalty = frozenset(v for p in others for v in p)
-        return find_path_seq(
+        return find_path_seq_cuts(
             inst.graph, inst.starts[a], inst.goals[a], forbidden, penalty=penalty
         )
-
-    @functools.lru_cache(maxsize=1 << 20)
-    def replan_len(a: int, forbidden: frozenset):
-        # pure in (a, forbidden); sibling nodes probe the same keys a lot
-        d = bfs_distances(inst.graph, inst.starts[a], forbidden)[inst.goals[a]]
-        return d if d >= 0 else None
 
     n = inst.n_agents
     # quick necessary condition: in a disjoint tuple, every other agent's
@@ -145,13 +152,14 @@ def solve_disjoint(
             return DisjointResult("infeasible", runtime=time.monotonic() - t0)
 
     root_forbids = tuple(frozenset() for _ in range(n))
-    root_paths: list = []
+    root_paths, root_cuts = [], []
     for a in range(n):
-        p = replan(a, root_forbids[a], root_paths)
+        p, cut = replan(a, root_forbids[a], root_paths)
         if p is None:
             # some goal is plain unreachable; no constraint tree to search
             return DisjointResult("infeasible", runtime=time.monotonic() - t0)
         root_paths.append(p)
+        root_cuts.append(cut)
     root_paths = tuple(root_paths)
 
     def cost(paths) -> int:
@@ -167,6 +175,7 @@ def solve_disjoint(
             root_forbids,
             root_paths,
             root_sets,
+            tuple(root_cuts),
         )
     ]
     closed = {root_forbids}
@@ -174,9 +183,9 @@ def solve_disjoint(
     while heap:
         if deadline_at is not None and time.process_time() > deadline_at:
             return DisjointResult("timeout", nodes=nodes, runtime=time.monotonic() - t0)
-        _, _, _, forbids, paths, sets = heapq.heappop(heap)
+        _, _, _, forbids, paths, sets, cuts = heapq.heappop(heap)
         nodes += 1
-        hit = _pick_conflict(paths, sets, forbids, replan_len)
+        hit = _pick_conflict(sets, cuts)
         if hit is None:
             plans = tuple(Plan(paths=(p,)) for p in paths)
             sol = Solution(model=model, fd=fd, plans=plans)
@@ -189,23 +198,18 @@ def solve_disjoint(
             )
         a, b, v = hit
         for agent in (a, b):
-            child = list(forbids)
-            child[agent] = forbids[agent] | {v}
-            child = tuple(child)
+            child = _put(forbids, agent, forbids[agent] | {v})
             if child in closed:
                 continue
             closed.add(child)
-            p = replan(agent, child[agent], [paths[b] for b in range(n) if b != agent])
+            p, cut = replan(agent, child[agent], [paths[b] for b in range(n) if b != agent])
             if p is None:
                 continue
-            cpaths = list(paths)
-            cpaths[agent] = p
-            cpaths = tuple(cpaths)
-            csets = list(sets)
-            csets[agent] = frozenset(p)
-            csets = tuple(csets)
+            cpaths = _put(paths, agent, p)
+            csets = _put(sets, agent, frozenset(p))
+            ccuts = _put(cuts, agent, cut)
             heapq.heappush(
                 heap,
-                (cost(cpaths), _conflict_count(csets), next(seq), child, cpaths, csets),
+                (cost(cpaths), _conflict_count(csets), next(seq), child, cpaths, csets, ccuts),
             )
     return DisjointResult("infeasible", nodes=nodes, runtime=time.monotonic() - t0)

@@ -10,7 +10,8 @@ the same, so the set, and the verdict, would repeat up to the horizon.
 ``find_path_seq`` finds the shortest simple path avoiding a forbidden
 vertex set, with the same tie-breaks, from a single BFS toward the goal:
 a step stays on a shortest path exactly when it lowers the distance to
-the goal by one.
+the goal by one. ``find_path_seq_cuts`` returns that path together with
+its cut set, the vertices every such shortest path must visit.
 """
 
 from __future__ import annotations
@@ -240,34 +241,53 @@ def _reverse_adj(graph: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def find_path_seq(graph: Graph, start: int, goal: int, forbidden=frozenset(), penalty=frozenset()):
-    """Shortest simple path avoiding ``forbidden``, lexicographically smallest.
+    """The path of :func:`find_path_seq_cuts`, without its cut set."""
+    return find_path_seq_cuts(graph, start, goal, forbidden, penalty)[0]
+
+
+def find_path_seq_cuts(
+    graph: Graph, start: int, goal: int, forbidden=frozenset(), penalty=frozenset()
+):
+    """Shortest simple path avoiding ``forbidden``, lexicographically smallest,
+    and the path's cut set.
 
     Among equally short paths, one entering the fewest ``penalty`` vertices
     is preferred (ties again broken lexicographically); with an empty
     penalty set this is the plain lex-first shortest path. Follows edge
-    direction on directed graphs. Returns a tuple of vertices or None.
-    ``start == goal`` yields the single-vertex path.
+    direction on directed graphs. Returns ``(path, cuts)``, or
+    ``(None, frozenset())`` when no path exists. ``start == goal`` yields
+    the single-vertex path.
 
     One BFS toward the goal (on the reversed graph when directed) gives
-    each vertex's distance to the goal. A step stays on a shortest path
-    exactly when it lowers that distance by one, so no distances from the
-    start are needed: the shortest paths are layered out from the start,
-    a backward pass over the layers counts the fewest penalized entries
-    still ahead, and the walk takes the smallest step that keeps it.
+    each vertex's distance to the goal; it stops once the start is
+    labelled, as every distance read below is smaller than the start's. A
+    step stays on a shortest path exactly when it lowers that distance by
+    one, so no distances from the start are needed: the shortest paths are
+    layered out from the start, a backward pass over the layers counts the
+    fewest penalized entries still ahead, and the walk takes the smallest
+    step that keeps it.
+
+    ``cuts`` holds the vertices that are alone in their layer, the start
+    and the goal included (the goal is a layer of its own). Every shortest
+    path visits exactly one vertex of each layer, so these are the vertices
+    that every shortest path avoiding ``forbidden`` visits: forbidding one
+    of them as well makes the path longer or impossible, and forbidding any
+    other vertex leaves its length unchanged.
     """
     if start in forbidden or goal in forbidden:
-        return None
+        return None, frozenset()
     if start == goal:
-        return (start,)
+        return (start,), frozenset((start,))
     toward = Graph(n=graph.n, adj=_reverse_adj(graph), directed=graph.directed)
-    dist = bfs_distances(toward, goal, frozenset(forbidden))
+    dist = bfs_distances(toward, goal, frozenset(forbidden), stop=start)
     if dist[start] < 0:
-        return None
+        return None, frozenset()
     # vertices on some shortest path, one layer per step from the start
     adj = graph.adj
     layers = [{start}]
     for d in range(dist[start] - 1, 0, -1):
         layers.append({w for v in layers[-1] for w in adj[v] if dist[w] == d})
+    cuts = frozenset([goal] + [v for layer in layers if len(layer) == 1 for v in layer])
     # fewest penalized vertices entered from here to the goal
     pen = {goal: 0}
     for layer in reversed(layers):
@@ -289,4 +309,4 @@ def find_path_seq(graph: Graph, start: int, goal: int, forbidden=frozenset(), pe
                 break
         out.append(w)
         v = w
-    return tuple(out)
+    return tuple(out), cuts

@@ -1,6 +1,7 @@
 """Core data model: graphs, instances, observations, plan validation."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -80,6 +81,27 @@ class TestBfs:
         g = path_graph(4)
         assert reachable(g, 0, 3)
         assert not reachable(g, 0, 3, blocked=frozenset({1}))
+
+    def test_stop_returns_a_prefix_of_the_full_search(self):
+        # an early stop leaves every entry at -1 or its full value, and
+        # labels every vertex closer than the stop vertex
+        rng = random.Random(7)
+        stopped_early = 0
+        for case in range(300):
+            n = rng.randrange(2, 12)
+            edges = {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3 * n))}
+            g = Graph.build(n, sorted(edges), directed=case % 2 == 1)
+            src, stop = rng.randrange(n), rng.randrange(n)
+            blocked = frozenset(rng.sample(range(n), rng.randrange(n // 2)))
+            full = bfs_distances(g, src, blocked)
+            part = bfs_distances(g, src, blocked, stop=stop)
+            assert part[stop] == full[stop], case
+            for v in range(n):
+                assert part[v] in (-1, full[v]), (case, v)
+                if full[v] >= 0 and (full[stop] < 0 or full[v] < full[stop]):
+                    assert part[v] == full[v], (case, v)
+            stopped_early += part != full
+        assert stopped_early > 50
 
 
 class TestInstanceValidation:

@@ -13,7 +13,8 @@ from mappcf.core import (
     validate_solution,
 )
 from mappcf.disjoint import solve_disjoint
-from mappcf.gen import fixture, sat_to_mappcf
+from mappcf.fileio import parse_map
+from mappcf.gen import fixture, gen_well_formed, random_grid_map, sat_to_mappcf
 from mappcf.verify import verify_syn
 from oracles import disjoint_exists, min_disjoint_cost
 
@@ -105,6 +106,23 @@ class TestAgainstOracle:
             res = solve_disjoint(inst, deadline=10.0)
             assert res.status in ("solved", "infeasible")
             assert res.ok == disjoint_exists(inst.graph, inst.starts, inst.goals)
+
+
+class TestGridPins:
+    def test_branching_order_on_grid_instances(self):
+        # node counts follow the conflict choice and the open-list order, so
+        # any change to either shows here; (agents, seed, status, nodes)
+        graph = parse_map(random_grid_map(8, 8, seed=0))
+        pins = [
+            (3, 9, "infeasible", 32),
+            (4, 8, "infeasible", 91),
+            (3, 6, "solved", 111),
+            (4, 0, "solved", 46),
+            (2, 3, "solved", 34),
+        ]
+        for n, seed, status, nodes in pins:
+            res = solve_disjoint(gen_well_formed(graph, n, 1, seed), deadline=None)
+            assert (res.status, res.nodes) == (status, nodes), (n, seed)
 
 
 class TestMechanics:

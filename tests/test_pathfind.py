@@ -8,6 +8,7 @@ from mappcf.pathfind import (
     Reservations,
     SynConstraints,
     find_path_seq,
+    find_path_seq_cuts,
     find_path_syn,
 )
 from oracles import best_timed_walk, simple_paths
@@ -134,6 +135,33 @@ class TestFindPathSeq:
             assert find_path_seq(g, s, t, forbidden, penalty) == want, case
             found += want is not None
         assert 100 < found < 400  # both verdicts well represented
+
+    def test_cuts_are_the_vertices_no_shortest_path_avoids(self):
+        # a path vertex is a cut exactly when forbidding it as well makes
+        # the shortest path longer or impossible; start and goal included
+        rng = random.Random(5)
+        found = partial = 0
+        for case in range(400):
+            n = rng.randrange(3, 10)
+            edges = {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n, 3 * n))}
+            g = Graph.build(n, sorted(edges), directed=case % 2 == 1)
+            s, t = rng.randrange(n), rng.randrange(n)
+            forbidden = frozenset(rng.sample(range(n), rng.randrange(3)))
+            penalty = frozenset(rng.sample(range(n), rng.randrange(n)))
+            path, cuts = find_path_seq_cuts(g, s, t, forbidden, penalty)
+            assert path == find_path_seq(g, s, t, forbidden, penalty), case
+            if path is None:
+                assert cuts == frozenset(), case
+                continue
+            want = set()
+            for v in path:
+                q = find_path_seq(g, s, t, forbidden | {v}, penalty)
+                if q is None or len(q) > len(path):
+                    want.add(v)
+            assert cuts == want, case
+            found += 1
+            partial += cuts != set(path)
+        assert found > 150 and partial > 20  # cut sets both full and partial
 
 
 class TestReservations:
