@@ -239,6 +239,17 @@ class Planner:
             bad = _path_violations(inst.graph, self.cfg.model, a, 0, tuple(p))
             if bad:
                 raise ValueError("; ".join(bad))
+        if self.cfg.model == SEQ:
+            # seq soundness rests on vertex-disjoint primaries: overlapping
+            # ones can deadlock with no crash, and no event would catch it
+            owner: dict[int, int] = {}
+            for a, p in enumerate(paths):
+                for v in p:
+                    b = owner.setdefault(v, a)
+                    if b != a:
+                        raise ValueError(
+                            f"forced seq paths of agents {b} and {a} share vertex {v}"
+                        )
         self._install_primaries([tuple(p) for p in paths])
 
     def _install_primaries(self, paths) -> None:
@@ -575,16 +586,23 @@ class Planner:
         path_a, path_b = self.paths[a][pa], self.paths[b][pb]
         if self.cfg.model == SEQ:
             return bool(set(path_a) & set(path_b))
-        res = Reservations()
-        res.add_path(path_b, self.entry[b][pb])
-        t = self.entry[a][pa]
+        # b holds path_b[t - tb] from time tb on, and its last vertex forever
+        # after; a must not meet it, swap with it, or park where b comes later
+        ta, tb = self.entry[a][pa], self.entry[b][pb]
+        last_b = len(path_b) - 1
         for k, v in enumerate(path_a):
-            if res.blocked_at(v, t + k):
+            j = ta + k - tb
+            if j < 0:
+                continue
+            if path_b[min(j, last_b)] == v:
                 return True
-            if k + 1 < len(path_a) and path_a[k + 1] != v:
-                if res.swap(v, path_a[k + 1], t + k):
+            # b is not on v, so a head-on swap is b stepping from a's next
+            # vertex onto v
+            if j < last_b and k < len(path_a) - 1:
+                if path_b[j] == path_a[k + 1] and path_b[j + 1] == v:
                     return True
-        return not res.free_forever(path_a[-1], t + len(path_a))
+        goal = path_a[-1]
+        return goal == path_b[-1] or goal in path_b[max(0, ta + len(path_a) - tb):]
 
     def run_events(self) -> str:
         self._gen_events_for([(a, 0) for a in self.inst.agents()])

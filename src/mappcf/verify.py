@@ -9,8 +9,43 @@ configuration from which some correct agent can never finish, and a fair
 livelock (a reachable crash-free cycle that activates every unfinished
 correct agent yet never finishes one of them).
 
-Refutations come with a concrete counterexample that replays through the
-execution module.
+Both verifiers explore each group of interacting agents on its own. Let
+V(a) be the vertices on all of agent a's paths and W(a) the vertices its
+rules watch. Correct, crashed and done agents all stand on a vertex of V,
+and an agent is blocked, collides or switches paths only because of what
+stands on V(a) or W(a). So a and b interact when V(a) meets V(b) ∪ W(b)
+or V(b) meets V(a) ∪ W(a), and the groups are the connected components of
+that relation. No agent ever sees or touches an agent of another group, so
+a run of the whole instance is, group by group, a run of each group alone
+with at most ``f`` crashes in it, and runs of separate groups combine into
+a run of the whole. Exploring each group with the full budget ``f`` is
+therefore sound and complete:
+
+* Sound: a group's failure is a failure of the whole instance in which the
+  other groups run crash-free. Crash patterns and sequential prefixes
+  replay as they are. A livelock must also activate the other groups, or
+  the schedule is not fair: each other group runs crash-free round-robin
+  rounds from its start until it finishes, which goes on the prefix, or
+  its configuration repeats at a round boundary, which puts the lead-in on
+  the prefix and the repeating rounds on the cycle.
+* Complete: a failure of the whole instance shows in the group of an agent
+  it harms. A collision needs two agents on one vertex, so one group. A
+  synchronous agent that never finishes does not finish in its group's
+  run either. A sequential fair livelock projects onto a closed crash-free
+  walk of a group that activates each of the group's unfinished agents
+  and finishes nobody. Last, a sequential configuration from which agent
+  x can never finish may only mean that the budget was spent in other
+  groups while x needs a crash to get on. Its projection onto x's group is
+  either a dead end for x there too, or one from which x cannot finish
+  without crashes. In the second case, the crash-free states reachable
+  from it contain a bottom component of activation steps. Every correct
+  agent has an activation from every state, which stays inside, and x is
+  correct and unfinished there. So that component is a fair livelock for
+  the group, and the group is refuted too.
+
+The state cap bounds the total over all groups, and ``states_explored`` is
+that total. Refutations come with a concrete counterexample in the
+instance's agent numbering that replays through the execution module.
 """
 
 from __future__ import annotations
@@ -18,9 +53,9 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from .core import SEQ, SYN, Instance, Solution, validate_solution
+from .core import SEQ, SYN, Instance, Plan, Solution, crashed, validate_solution
 from .execution import (
     CORRECT_ST,
     CRASHED_ST,
@@ -84,17 +119,154 @@ def _crash_subsets(states, budget):
             yield frozenset(combo)
 
 
+def interaction_components(sol: Solution) -> "list[tuple[int, ...]]":
+    """Groups of agents that can affect each other, by smallest agent id.
+
+    Agents a and b interact when a vertex on one's paths is on the other's
+    paths or is watched by one of the other's rules. Each group is sorted.
+    """
+    comp = list(range(len(sol.plans)))
+
+    def root(a: int) -> int:
+        while comp[a] != a:
+            comp[a] = comp[comp[a]]
+            a = comp[a]
+        return a
+
+    owner: dict[int, int] = {}  # vertex -> first agent whose paths visit it
+    for a, plan in enumerate(sol.plans):
+        for path in plan.paths:
+            for v in path:
+                comp[root(a)] = root(owner.setdefault(v, a))
+    for a, plan in enumerate(sol.plans):
+        for r in plan.rules:
+            if r.watch in owner:
+                comp[root(a)] = root(owner[r.watch])
+    groups: dict[int, list[int]] = {}
+    for a in range(len(sol.plans)):
+        groups.setdefault(root(a), []).append(a)
+    return sorted(tuple(g) for g in groups.values())
+
+
+def _restrict(inst: Instance, sol: Solution, ids) -> "tuple[Instance, Solution]":
+    """The instance and solution of agents ``ids`` alone, renumbered 0..k-1.
+
+    nfd triggers are renumbered too. A rule whose trigger names an agent
+    outside ``ids`` is dropped: that agent never stands on the watched
+    vertex, so the rule never fires.
+    """
+    if len(ids) == inst.n_agents:
+        return inst, sol
+    local = {a: i for i, a in enumerate(ids)}
+    plans = []
+    for a in ids:
+        rules = []
+        for r in sol.plans[a].rules:
+            who = r.trigger.agent
+            if who is None:
+                rules.append(r)
+            elif who in local:
+                rules.append(replace(r, trigger=crashed(local[who])))
+        plans.append(Plan(sol.plans[a].paths, tuple(rules)))
+    sub = Instance(
+        inst.graph, tuple(inst.starts[a] for a in ids), tuple(inst.goals[a] for a in ids), inst.f
+    )
+    return sub, Solution(sol.model, sol.fd, tuple(plans))
+
+
+def _lift(ce: Counterexample, ids) -> Counterexample:
+    """``ce`` with the group's agent numbers replaced by the instance's."""
+
+    def actions(seq):
+        return None if seq is None else [(op, ids[a]) for op, a in seq]
+
+    crash_times = ce.crash_times
+    if crash_times is not None:
+        crash_times = {ids[a]: t for a, t in crash_times.items()}
+    return replace(
+        ce,
+        agents=tuple(ids[a] for a in ce.agents),
+        crash_times=crash_times,
+        schedule=actions(ce.schedule),
+        cycle=actions(ce.cycle),
+    )
+
+
+def _round_robin(inst: Instance, sol: Solution, group) -> "tuple[list, list]":
+    """Crash-free round-robin activations of ``group`` from the start.
+
+    Returns (lead-in, repeating rounds): the whole run and no rounds when
+    every agent of the group finishes, else the rounds before the first
+    configuration that repeats at a round boundary, and the rounds that
+    lead back to it.
+    """
+    rnd = [("activate", a) for a in group]
+    cfg = init_states(inst, sol)
+    seen = {cfg: 0}
+    rounds = 0
+    while any(cfg[a].status == CORRECT_ST for a in group):
+        for a in group:
+            cfg = activate_seq(inst, sol, cfg, a)
+        rounds += 1
+        if cfg in seen:
+            return rnd * seen[cfg], rnd * (rounds - seen[cfg])
+        seen[cfg] = rounds
+    return rnd * rounds, []
+
+
+def _verify_split(inst, sol, model, f, state_cap, explore) -> VerifyResult:
+    """Run ``explore`` on each interaction group with the full budget.
+
+    ``explore(inst, sol, budget, cap)`` returns (states explored,
+    counterexample or None) or raises ``_TooLarge(states explored)``.
+    """
+    _check_structure(inst, sol)
+    budget = inst.f if f is None else f
+    groups = interaction_components(sol)
+    total = 0
+    for ids in groups:
+        sub_inst, sub_sol = _restrict(inst, sol, ids)
+        try:
+            explored, ce = explore(sub_inst, sub_sol, budget, state_cap - total)
+        except _TooLarge as exc:
+            return VerifyResult(
+                "too_large",
+                model,
+                budget,
+                states_explored=total + exc.args[0],
+                reason=f"explored more than {state_cap} states",
+            )
+        total += explored
+        if ce is None:
+            continue
+        ce = _lift(ce, ids)
+        if ce.kind == "livelock":
+            # the other groups must move too, or the schedule is not fair
+            for other in groups:
+                if other != ids:
+                    lead, rounds = _round_robin(inst, sol, other)
+                    ce.schedule += lead
+                    ce.cycle += rounds
+        return VerifyResult(
+            "refuted", model, budget, states_explored=total, counterexample=ce, reason=ce.detail
+        )
+    return VerifyResult("verified", model, budget, states_explored=total)
+
+
 def verify_syn(
     inst: Instance, sol: Solution, f: "int | None" = None, state_cap: int = DEFAULT_STATE_CAP
 ) -> VerifyResult:
     """Exhaustively check a synchronous solution against every crash pattern.
 
-    Explores (configuration, remaining budget) pairs depth-first. A repeat
-    of a configuration at equal budget along the current chain means the
-    adversary needs no further crashes to loop forever: the plan is stuck.
+    Explores each interaction group's (configuration, remaining budget)
+    pairs depth-first. A repeat of a configuration at equal budget along
+    the current chain means the adversary needs no further crashes to loop
+    forever: the plan is stuck.
     """
-    _check_structure(inst, sol)
-    budget0 = inst.f if f is None else f
+    return _verify_split(inst, sol, SYN, f, state_cap, _explore_syn)
+
+
+def _explore_syn(inst: Instance, sol: Solution, budget0: int, state_cap: int):
     init = init_states(inst, sol)
     memo: set = set()
     on_stack: set = set()
@@ -125,7 +297,7 @@ def verify_syn(
                 detail=f"configuration repeats at round {t} with no crashes left to spend",
             )
         if len(memo) > state_cap:
-            raise _TooLarge
+            raise _TooLarge(len(memo))
         on_stack.add(key)
         try:
             for crash_set in _crash_subsets(states, budget):
@@ -151,34 +323,12 @@ def verify_syn(
 
     try:
         ce = search(init, budget0, 1)
-    except _TooLarge:
-        return VerifyResult(
-            "too_large",
-            SYN,
-            budget0,
-            states_explored=len(memo),
-            reason=f"explored more than {state_cap} configurations",
-        )
     finally:
         sys.setrecursionlimit(limit)
-    if ce is None:
-        return VerifyResult("verified", SYN, budget0, states_explored=len(memo))
-    return VerifyResult(
-        "refuted", SYN, budget0, states_explored=len(memo), counterexample=ce, reason=ce.detail
-    )
+    return len(memo), ce
 
 
 # --- sequential model ------------------------------------------------------
-
-
-def _seq_estimate(sol: Solution, budget: int) -> int:
-    est = budget + 1
-    for plan in sol.plans:
-        total = sum(len(p) for p in plan.paths)
-        est *= 2 * total + 1
-        if est > 10**18:
-            break
-    return est
 
 
 def verify_seq(
@@ -186,17 +336,15 @@ def verify_seq(
 ) -> VerifyResult:
     """Exhaustively check a sequential solution against scheduler + crashes.
 
-    Builds the full reachable transition system (activations and crashes),
-    then looks for (a) a reachable configuration from which some correct
-    agent's goal states are unreachable, and (b) a fair livelock cycle.
+    Builds each interaction group's reachable transition system
+    (activations and crashes), then looks for (a) a reachable configuration
+    from which some correct agent's goal states are unreachable, and (b) a
+    fair livelock cycle.
     """
-    _check_structure(inst, sol)
-    budget0 = inst.f if f is None else f
-    if _seq_estimate(sol, budget0) > state_cap:
-        return VerifyResult(
-            "too_large", SEQ, budget0, reason="state-count estimate exceeds the cap"
-        )
+    return _verify_split(inst, sol, SEQ, f, state_cap, _explore_seq)
 
+
+def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
     init = (init_states(inst, sol), budget0)
     index = {init: 0}
     states = [init]
@@ -211,31 +359,22 @@ def verify_seq(
             states.append(nxt)
             edges.append([])
             if len(states) > state_cap:
-                raise _TooLarge
+                raise _TooLarge(len(states))
         return di
 
     # breadth-first: states are numbered in discovery order, so scanning
     # them by index is the queue
     si = 0
-    try:
-        while si < len(states):
-            cfg, budget = states[si]
-            for a, st in enumerate(cfg):
-                if st.status == CORRECT_ST:
-                    di = insert((activate_seq(inst, sol, cfg, a), budget))
-                    edges[si].append((di, "activate", a))
-                if st.status != CRASHED_ST and budget > 0:
-                    di = insert((crash_seq(inst, sol, cfg, a), budget - 1))
-                    edges[si].append((di, "crash", a))
-            si += 1
-    except _TooLarge:
-        return VerifyResult(
-            "too_large",
-            SEQ,
-            budget0,
-            states_explored=len(states),
-            reason=f"more than {state_cap} reachable states",
-        )
+    while si < len(states):
+        cfg, budget = states[si]
+        for a, st in enumerate(cfg):
+            if st.status == CORRECT_ST:
+                di = insert((activate_seq(inst, sol, cfg, a), budget))
+                edges[si].append((di, "activate", a))
+            if st.status != CRASHED_ST and budget > 0:
+                di = insert((crash_seq(inst, sol, cfg, a), budget - 1))
+                edges[si].append((di, "crash", a))
+        si += 1
 
     n_states = len(states)
 
@@ -259,28 +398,16 @@ def verify_seq(
         for si in range(n_states):
             cfg, _ = states[si]
             if cfg[x].status == CORRECT_ST and not can[si]:
-                return VerifyResult(
-                    "refuted",
-                    SEQ,
-                    budget0,
-                    states_explored=n_states,
-                    counterexample=Counterexample(
-                        "unreachable_goal",
-                        agents=(x,),
-                        schedule=_actions_to(states, edges, si),
-                        detail=f"agent {x} can never finish after this prefix",
-                    ),
-                    reason=f"agent {x} can be cut off from its goal",
+                return n_states, Counterexample(
+                    "unreachable_goal",
+                    agents=(x,),
+                    schedule=_actions_to(states, edges, si),
+                    detail="the agent can never finish after this prefix",
                 )
 
     # (b) fair livelock: a crash-free cycle activating every unfinished
     # correct agent without finishing anyone
-    ce = _fair_livelock(inst, states, edges)
-    if ce is not None:
-        return VerifyResult(
-            "refuted", SEQ, budget0, states_explored=n_states, counterexample=ce, reason=ce.detail
-        )
-    return VerifyResult("verified", SEQ, budget0, states_explored=n_states)
+    return n_states, _fair_livelock(inst, states, edges)
 
 
 def _actions_to(states, edges, target: int) -> list:
@@ -392,7 +519,7 @@ def _fair_livelock(inst: Instance, states, edges) -> "Counterexample | None":
             cycle=cycle,
             detail=(
                 "fair scheduling can repeat a crash-free cycle forever; "
-                f"agents {list(pending)} are activated but never finish"
+                "the agents are activated but never finish"
             ),
         )
     return None

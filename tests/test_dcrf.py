@@ -24,6 +24,7 @@ from mappcf.dcrf import (
 )
 from mappcf.fileio import parse_map
 from mappcf.gen import fixture, gen_well_formed, grid_graph, random_grid_map
+from mappcf.pathfind import Reservations
 from mappcf.verify import verify, verify_syn
 
 
@@ -72,6 +73,42 @@ class TestPairCandidates:
                 if later and later[0] >= 2:
                     want.append((Crash(1, v, tb), Effect(0, 0, v, later[0], ea + later[0] - 1)))
             assert planner._pair_candidates(0, 0, 1, 0) == want
+
+
+class TestPathsConflict:
+    def test_syn_matches_reservations(self):
+        # a path must not meet b, swap with it, or park its last vertex
+        # where b passes later or parks; the reference asks Reservations
+        planner = Planner(fixture("fig1").instance, SolverConfig(model=SYN, fd=NFD))
+        rng = random.Random(5)
+        hits = 0
+        for _ in range(600):
+            path_a = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 9)))
+            path_b = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 9)))
+            ea, eb = rng.randrange(1, 6), rng.randrange(1, 6)
+            planner.paths = [[path_a], [path_b]]
+            planner.entry = [[ea], [eb]]
+            res = Reservations()
+            res.add_path(path_b, eb)
+            want = (
+                any(res.blocked_at(v, ea + k) for k, v in enumerate(path_a))
+                or any(res.swap(u, w, ea + k)
+                       for k, (u, w) in enumerate(zip(path_a, path_a[1:])) if u != w)
+                or not res.free_forever(path_a[-1], ea + len(path_a))
+            )
+            assert planner._paths_conflict(0, 0, 1, 0) == want, (path_a, ea, path_b, eb)
+            hits += want
+        assert 100 < hits < 500
+
+
+class TestForcedSeqPrimaries:
+    def test_overlapping_primaries_are_refused(self):
+        # the two primaries cross edge 23-30 in opposite directions, so
+        # each agent waits for the other forever even with no crash
+        inst = gen_well_formed(parse_map(random_grid_map(8, 8, seed=0)), 2, 1, 29)
+        forced = ((35, 34, 33, 32, 31, 30, 23, 22), (4, 3, 2, 10, 9, 8, 15, 23, 30, 38))
+        with pytest.raises(ValueError, match="agents 0 and 1 share vertex 23"):
+            solve(inst, SolverConfig(model=SEQ, fd=NFD, initial_paths=forced))
 
 
 class TestTwoCorridor:

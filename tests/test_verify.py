@@ -1,30 +1,80 @@
 """Exhaustive verifier: accepts the reference plans, refutes broken ones."""
 
 import dataclasses
+import random
 
 import pytest
 
 from mappcf.core import (
+    AFD,
     CORRECT,
+    CRASHED_ANON,
     NFD,
     SEQ,
+    SYN,
     Graph,
     Instance,
     Plan,
     Solution,
     TransitionRule,
+    crashed,
     validate_instance,
     validate_solution,
 )
-from mappcf.execution import run_seq, run_syn
-from mappcf.gen import fixture
-from mappcf.verify import verify, verify_seq, verify_syn
+from mappcf.dcrf import SolverConfig, solve
+from mappcf.execution import CORRECT_ST, run_seq, run_syn
+from mappcf.fileio import parse_map
+from mappcf.gen import GiveUp, fixture, gen_well_formed, grid_graph
+from mappcf.pathfind import find_path_seq
+from mappcf.verify import (
+    DEFAULT_STATE_CAP,
+    _explore_seq,
+    _explore_syn,
+    interaction_components,
+    verify,
+    verify_seq,
+    verify_syn,
+)
 
 
 def strip_rules(sol, agent):
     plans = list(sol.plans)
     plans[agent] = dataclasses.replace(plans[agent], rules=())
     return dataclasses.replace(sol, plans=tuple(plans))
+
+
+def side_by_side(first, second):
+    """Two (instance, solution) pairs on disjoint copies of their graphs.
+
+    The first pair's agents keep their numbers; the second's vertices and
+    agents (nfd triggers included) are renumbered after them.
+    """
+    (i1, s1), (i2, s2) = first, second
+    off, shift = i1.graph.n, i1.n_agents
+
+    def moved_rule(r):
+        who = r.trigger.agent
+        trigger = r.trigger if who is None else crashed(who + shift)
+        return dataclasses.replace(r, watch=r.watch + off, trigger=trigger)
+
+    def moved(plan):
+        paths = tuple(tuple(v + off for v in p) for p in plan.paths)
+        return Plan(paths, tuple(moved_rule(r) for r in plan.rules))
+
+    edges = i1.graph.edges() + [(u + off, v + off) for u, v in i2.graph.edges()]
+    inst = Instance(
+        graph=Graph.build(off + i2.graph.n, edges),
+        starts=i1.starts + tuple(v + off for v in i2.starts),
+        goals=i1.goals + tuple(v + off for v in i2.goals),
+        f=max(i1.f, i2.f),
+    )
+    return inst, Solution(s1.model, s1.fd, s1.plans + tuple(moved(p) for p in s2.plans))
+
+
+def walker(model, fd):
+    """One agent walking a three-vertex line on its own."""
+    inst = Instance(graph=Graph.build(3, [(0, 1), (1, 2)]), starts=(0,), goals=(2,), f=0)
+    return inst, Solution(model, fd, (Plan(((0, 1, 2),)),))
 
 
 class TestReferenceSolutions:
@@ -85,6 +135,42 @@ class TestRefutations:
         assert ce.agents == (1,)
         assert ce.schedule == []  # the initial state is already doomed
 
+    def test_syn_witness_lifts_past_a_lower_agent(self):
+        fx = fixture("fig1")
+        inst, sol = side_by_side(walker(SYN, AFD), (fx.instance, strip_rules(fx.solutions[0], 1)))
+        r = verify_syn(inst, sol, f=1)
+        assert r.status == "refuted"
+        assert r.counterexample.agents == (1, 2)
+        assert r.counterexample.crash_times == {1: 2}
+        assert run_syn(inst, sol, r.counterexample.crash_times).outcome == "collision"
+
+    def test_nfd_triggers_are_renumbered_per_group(self):
+        # the walker shifts the hexagon's agents to 1-3, so its nfd
+        # triggers only work if the group is renumbered consistently
+        fx = fixture("seq_anonymous")
+        inst, sol = side_by_side(walker(SEQ, NFD), (fx.instance, fx.solutions[0]))
+        assert interaction_components(sol) == [(0,), (1, 2, 3)]
+        assert verify_seq(inst, sol, f=2).ok
+        anon = dataclasses.replace(sol, fd=AFD, plans=tuple(
+            dataclasses.replace(p, rules=tuple(
+                dataclasses.replace(r, trigger=CRASHED_ANON) for r in p.rules))
+            for p in sol.plans))
+        r = verify_seq(inst, anon, f=2)
+        assert r.status == "refuted"
+        assert run_seq(inst, anon, r.counterexample.schedule
+                       + (r.counterexample.cycle or []) * 3).outcome == "stuck"
+
+    def test_watching_a_vertex_joins_groups(self):
+        # agent 1 never shares a vertex with agent 0, but seeing it on 0
+        # sends agent 1 onto a path that never reaches its goal
+        g = Graph.build(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
+        inst = Instance(graph=g, starts=(0, 3), goals=(2, 4), f=0)
+        rule = TransitionRule(from_path=0, at_index=1, watch=0, trigger=CORRECT, to_path=1)
+        sol = Solution(SEQ, NFD, (Plan(((0, 1, 2),)), Plan(((3, 4), (3,)), (rule,))))
+        assert interaction_components(sol) == [(0, 1)]
+        r = verify_seq(inst, sol)
+        assert r.status == "refuted" and r.counterexample.agents == (1,)
+
     def test_budget_zero_accepts_more(self):
         # without crashes the stripped plans are fine: nobody detours
         fx = fixture("fig1")
@@ -143,6 +229,28 @@ class TestFairLivelock:
         r = run_seq(inst, sol, list(ce.schedule) + list(ce.cycle) * 3)
         assert r.outcome == "stuck"
 
+    def test_livelock_lifts_fairly_over_other_groups(self):
+        # agent 0 walks on its own and finishes; agents 3 and 4 face each
+        # other on one edge and never move. The shuttle's cycle must still
+        # activate every pending agent of the whole instance.
+        line = Graph.build(2, [(0, 1)])
+        facing = (
+            Instance(graph=line, starts=(0, 1), goals=(1, 0), f=0),
+            Solution(SEQ, NFD, (Plan(((0, 1),)), Plan(((1, 0),)))),
+        )
+        inst, sol = side_by_side(walker(SEQ, NFD), self.build(with_shuttle=True))
+        inst, sol = side_by_side((inst, sol), facing)
+        assert interaction_components(sol) == [(0,), (1, 2), (3, 4)]
+        r = verify_seq(inst, sol, f=0)
+        assert r.status == "refuted"
+        ce = r.counterexample
+        assert ce.kind == "livelock" and ce.agents == (1, 2)
+        assert run_seq(inst, sol, ce.schedule + ce.cycle * 3).outcome == "stuck"
+        pending = {a for a, st in enumerate(run_seq(inst, sol, ce.schedule).states)
+                   if st.status == CORRECT_ST}
+        assert pending == {1, 2, 3, 4}
+        assert {a for _, a in ce.cycle} == pending
+
 
 class TestGuards:
     def test_syn_cap(self):
@@ -156,6 +264,25 @@ class TestGuards:
         r = verify(fx.instance, fx.solutions[0], f=2, state_cap=2)
         assert r.status == "too_large"
 
+    def test_seq_explores_16x16_plans(self, data_dir):
+        # the product of path lengths (5.8e8) is far above the cap, but
+        # the six agents are six groups of a few dozen states each
+        g = parse_map((data_dir / "random-16-16-10.map").read_text())
+        inst = gen_well_formed(g, 6, 2, 2)
+        res = solve(inst, SolverConfig(model=SEQ, fd=NFD, seed=2))
+        assert res.status == "solved"
+        r = verify(inst, res.solution)
+        assert r.ok and r.states_explored == 164
+
+    def test_cap_bounds_the_total_over_groups(self):
+        fx = fixture("seq_anonymous")
+        inst, sol = side_by_side(walker(SEQ, NFD), (fx.instance, fx.solutions[0]))
+        full = verify_seq(inst, sol, f=2)
+        assert full.ok and full.states_explored > 287
+        assert verify_seq(inst, sol, f=2, state_cap=full.states_explored).ok
+        r = verify_seq(inst, sol, f=2, state_cap=290)
+        assert r.status == "too_large" and r.states_explored > 290
+
     def test_dispatcher_uses_solution_model(self):
         fx = fixture("fig1")
         assert verify(fx.instance, fx.solutions[0], f=1).ok
@@ -164,3 +291,59 @@ class TestGuards:
     def test_default_f_from_instance(self):
         fx = fixture("fig1")
         assert verify(fx.instance, fx.solutions[0]).f == 1
+
+
+class TestGroupsAgreeWithWholeInstance:
+    def test_split_verdicts_equal_single_group_verdicts(self):
+        # every plan is checked at each f from 0 to inst.f, once split into
+        # interaction groups and once with the whole instance as one group
+        cells = [(c, r) for r in range(4) for c in range(4)]
+        cases = refuted = split = split_refuted = 0
+
+        def check(inst, sol):
+            nonlocal cases, refuted, split, split_refuted
+            whole = _explore_syn if sol.model == SYN else _explore_seq
+            groups = len(interaction_components(sol))
+            for f in range(inst.f + 1):
+                _, ce = whole(inst, sol, f, DEFAULT_STATE_CAP)
+                r = verify(inst, sol, f=f)
+                assert r.status == ("verified" if ce is None else "refuted"), (inst, sol, f)
+                cases += 1
+                split += groups > 1
+                if ce is None:
+                    continue
+                refuted += 1
+                split_refuted += groups > 1
+                w = r.counterexample
+                if sol.model == SYN:
+                    out = run_syn(inst, sol, w.crash_times)
+                else:
+                    out = run_seq(inst, sol, w.schedule + (w.cycle or []) * 3)
+                assert out.outcome != "arrived", (inst, sol, f, w)
+
+        for seed in range(250):
+            rng = random.Random(seed)
+            g = grid_graph(4, 4, obstacles=frozenset(rng.sample(cells, 3)))
+            try:
+                inst = gen_well_formed(g, rng.randint(2, 4), rng.randint(1, 2), seed,
+                                       max_tries=200)
+            except GiveUp:
+                continue
+            for model in (SYN, SEQ):
+                for fd in (NFD, AFD):
+                    res = solve(inst, SolverConfig(model=model, fd=fd, seed=seed, deadline=10.0))
+                    if res.solution is None:
+                        continue
+                    check(inst, res.solution)
+                    bare = dataclasses.replace(res.solution, plans=tuple(
+                        Plan(p.paths[:1]) for p in res.solution.plans))
+                    if bare != res.solution:
+                        check(inst, bare)
+            # overlapping primaries, which solve refuses under seq
+            paths = [find_path_seq(g, inst.starts[a], inst.goals[a],
+                                   frozenset(inst.goals) - {inst.goals[a]})
+                     for a in inst.agents()]
+            if None not in paths:
+                check(inst, Solution(SEQ, NFD, tuple(Plan((p,)) for p in paths)))
+        assert cases >= 2000
+        assert refuted >= 100 and split >= 200 and split_refuted >= 50
