@@ -15,6 +15,19 @@ the vertices every such shortest path visits. The cut sets classify the
 conflicts, so no search beyond the replan itself is needed. Constraint
 sets only grow and the vertex set is finite, so an exhausted tree is a
 proof that no disjoint tuple exists.
+
+Every node is strengthened by must-visit propagation (mutex propagation,
+Zhang et al., ICAPS 2020). The vertices every route of an agent must use,
+given its forbidden set (``pathfind.must_visit``, one linear scan), are
+forbidden to all other agents; an agent whose path enters a newly
+forbidden vertex is replanned, and so on to a fixpoint. A child in which
+some agent is left without a path is refuted before it is pushed. Every
+disjoint tuple consistent with a node's constraints also satisfies the
+strengthened ones, so the search stays complete and cost-optimal; on
+infeasible instances the strengthening is what keeps the proofs short.
+The propagation is lazy: an agent that was not replanned keeps its path,
+which is still shortest, and its cut set, which is then a subset of the
+true cut set of its strengthened constraints.
 """
 
 from __future__ import annotations
@@ -33,11 +46,10 @@ from .core import (
     Path,
     Plan,
     Solution,
-    reachable,
     validate_instance,
 )
 # find_path_seq stays bound here: perfbench/tracer.py wraps it at this name
-from .pathfind import find_path_seq, find_path_seq_cuts  # noqa: F401
+from .pathfind import find_path_seq, find_path_seq_cuts, must_visit  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,13 +59,17 @@ class DisjointResult:
     ``status`` is one of solved / infeasible / timeout. On success
     ``paths`` holds one simple path per agent and ``solution`` wraps them
     as rule-free plans so the verifier consumes both solvers uniformly.
-    ``nodes`` counts expanded high-level nodes.
+    ``nodes`` counts expanded high-level nodes and ``pruned`` the children
+    that must-visit propagation refuted before they were pushed (a child
+    whose branched agent has no path at all is not counted). ``nodes`` is
+    0 when propagation refutes the root.
     """
 
     status: str
     solution: "Solution | None" = None
     paths: "tuple[Path, ...] | None" = None
     nodes: int = 0
+    pruned: int = 0
     runtime: float = 0.0
 
     @property
@@ -71,6 +87,13 @@ def _pick_conflict(sets, cuts):
     and every such path visits exactly one vertex of each layer of the
     shortest-path DAG (the MDD), so the paths that avoid v keep the length
     if and only if v shares its layer with another vertex.
+
+    An agent that propagation did not replan keeps the cut set of its
+    path under its earlier, smaller forbidden set. Its path is still a
+    shortest one, and its true cut set can only have grown, so ``cuts[a]``
+    is then a sound subset: every conflict it calls cardinal is cardinal,
+    but a cardinal conflict may be taken for a non-cardinal one. That
+    affects only the branching order, never the verdict or the cost.
 
     Prefer a conflict that is cardinal for both agents (branching there
     raises the cost bound in both children), then a semi-cardinal one
@@ -113,10 +136,12 @@ def solve_disjoint(
     """Best-first search for a minimum-total-length disjoint path tuple.
 
     Open-list order: sum of path lengths, then number of pairwise shared
-    vertices, then insertion order. Each agent's path depends only on its
-    own forbidden set, so nodes are deduplicated by the per-agent
-    constraint signature. Infeasible is returned only after the whole
-    tree is exhausted; Timeout when the deadline passes first.
+    vertices, then insertion order. The disjoint tuples consistent with a
+    node depend only on its per-agent forbidden sets, before propagation
+    or after, so nodes are deduplicated by both signatures. The root
+    forbids each agent the other agents' starts and goals. Infeasible is
+    returned only after the whole tree is exhausted; Timeout when the
+    deadline passes first.
     """
     problems = validate_instance(inst)
     if problems:
@@ -139,50 +164,71 @@ def solve_disjoint(
         )
 
     n = inst.n_agents
-    # quick necessary condition: in a disjoint tuple, every other agent's
-    # endpoints lie on that agent's path, so they are off limits here
-    for a in range(n):
-        blocked = frozenset(
-            v
-            for b in range(n)
-            if b != a
-            for v in (inst.starts[b], inst.goals[b])
-        )
-        if not reachable(inst.graph, inst.starts[a], inst.goals[a], blocked):
-            return DisjointResult("infeasible", runtime=time.monotonic() - t0)
 
-    root_forbids = tuple(frozenset() for _ in range(n))
-    root_paths, root_cuts = [], []
+    def settle(forbids, paths, sets, cuts, changed) -> bool:
+        """Propagate must-visit vertices to a fixpoint, in place.
+
+        ``changed`` holds the agents whose paths were just replanned. Every
+        route of such an agent visits its must-visit vertices, so they are
+        forbidden to the others; an agent whose path enters a newly
+        forbidden vertex is replanned and its own vertices propagate in
+        turn. False when some agent is left without a path.
+        """
+        changed = set(changed)
+        while changed:
+            a = min(changed)
+            changed.discard(a)
+            # must-visit vertices lie in the cut set; start and goal are
+            # forbidden to the others from the root on
+            if len(cuts[a]) <= 2:
+                continue
+            must = must_visit(inst.graph, paths[a], forbids[a])
+            for b in range(n):
+                if b == a or must <= forbids[b]:
+                    continue
+                forbids[b] = forbids[b] | must
+                if sets[b].isdisjoint(must):
+                    # still a shortest path: its cuts stay a sound subset
+                    continue
+                p, cut = replan(b, forbids[b], [paths[c] for c in range(n) if c != b])
+                if p is None:
+                    return False
+                paths[b], sets[b], cuts[b] = p, frozenset(p), cut
+                changed.add(b)
+        return True
+
+    # in a disjoint tuple, every other agent's endpoints lie on that agent's
+    # path, so they are off limits from the root on
+    forbids = [
+        frozenset(v for b in range(n) if b != a for v in (inst.starts[b], inst.goals[b]))
+        for a in range(n)
+    ]
+    paths, cuts = [], []
     for a in range(n):
-        p, cut = replan(a, root_forbids[a], root_paths)
+        p, cut = replan(a, forbids[a], paths)
         if p is None:
-            # some goal is plain unreachable; no constraint tree to search
             return DisjointResult("infeasible", runtime=time.monotonic() - t0)
-        root_paths.append(p)
-        root_cuts.append(cut)
-    root_paths = tuple(root_paths)
+        paths.append(p)
+        cuts.append(cut)
+    sets = [frozenset(p) for p in paths]
+    if not settle(forbids, paths, sets, cuts, range(n)):
+        return DisjointResult("infeasible", runtime=time.monotonic() - t0)
 
     def cost(paths) -> int:
         return sum(len(p) - 1 for p in paths)
 
-    root_sets = tuple(frozenset(p) for p in root_paths)
+    root = tuple(forbids)
     seq = itertools.count()
     heap = [
-        (
-            cost(root_paths),
-            _conflict_count(root_sets),
-            next(seq),
-            root_forbids,
-            root_paths,
-            root_sets,
-            tuple(root_cuts),
-        )
+        (cost(paths), _conflict_count(sets), next(seq), root, tuple(paths), tuple(sets), tuple(cuts))
     ]
-    closed = {root_forbids}
-    nodes = 0
+    closed = {root}
+    nodes = pruned = 0
     while heap:
         if deadline_at is not None and time.process_time() > deadline_at:
-            return DisjointResult("timeout", nodes=nodes, runtime=time.monotonic() - t0)
+            return DisjointResult(
+                "timeout", nodes=nodes, pruned=pruned, runtime=time.monotonic() - t0
+            )
         _, _, _, forbids, paths, sets, cuts = heapq.heappop(heap)
         nodes += 1
         hit = _pick_conflict(sets, cuts)
@@ -194,6 +240,7 @@ def solve_disjoint(
                 solution=sol,
                 paths=paths,
                 nodes=nodes,
+                pruned=pruned,
                 runtime=time.monotonic() - t0,
             )
         a, b, v = hit
@@ -202,14 +249,29 @@ def solve_disjoint(
             if child in closed:
                 continue
             closed.add(child)
-            p, cut = replan(agent, child[agent], [paths[b] for b in range(n) if b != agent])
+            p, cut = replan(agent, child[agent], [paths[c] for c in range(n) if c != agent])
             if p is None:
                 continue
-            cpaths = _put(paths, agent, p)
-            csets = _put(sets, agent, frozenset(p))
-            ccuts = _put(cuts, agent, cut)
+            cforbids, cpaths, csets, ccuts = list(child), list(paths), list(sets), list(cuts)
+            cpaths[agent], csets[agent], ccuts[agent] = p, frozenset(p), cut
+            if not settle(cforbids, cpaths, csets, ccuts, (agent,)):
+                pruned += 1
+                continue
+            cforbids = tuple(cforbids)
+            if cforbids != child and cforbids in closed:
+                continue
+            closed.add(cforbids)
+            csets = tuple(csets)
             heapq.heappush(
                 heap,
-                (cost(cpaths), _conflict_count(csets), next(seq), child, cpaths, csets, ccuts),
+                (
+                    cost(cpaths),
+                    _conflict_count(csets),
+                    next(seq),
+                    cforbids,
+                    tuple(cpaths),
+                    csets,
+                    tuple(ccuts),
+                ),
             )
-    return DisjointResult("infeasible", nodes=nodes, runtime=time.monotonic() - t0)
+    return DisjointResult("infeasible", nodes=nodes, pruned=pruned, runtime=time.monotonic() - t0)

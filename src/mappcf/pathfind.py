@@ -11,7 +11,8 @@ the same, so the set, and the verdict, would repeat up to the horizon.
 vertex set, with the same tie-breaks, from a single BFS toward the goal:
 a step stays on a shortest path exactly when it lowers the distance to
 the goal by one. ``find_path_seq_cuts`` returns that path together with
-its cut set, the vertices every such shortest path must visit.
+its cut set, the vertices every such shortest path must visit, and
+``must_visit`` scans a path for the vertices every route at all must visit.
 """
 
 from __future__ import annotations
@@ -310,3 +311,53 @@ def find_path_seq_cuts(
         out.append(w)
         v = w
     return tuple(out), cuts
+
+
+def must_visit(graph: Graph, path: Path, forbidden=frozenset()) -> frozenset:
+    """The vertices every route from ``path[0]`` to ``path[-1]`` avoiding
+    ``forbidden`` visits, the start and the goal included.
+
+    ``path`` must be such a route, so all of these vertices lie on it (they
+    are the goal's dominators from the start). They are a subset of the cut
+    set of :func:`find_path_seq_cuts`, which only asks about shortest
+    routes. Follows edge direction on directed graphs.
+
+    One search from the start, O(V+E): ``m`` is the furthest path index
+    touched so far, and the search expands every touched vertex except
+    ``path[m]``. Touching a later path vertex moves ``m`` there and releases
+    the old ``path[m]`` for expansion: the new one was reached without it,
+    and the rest of ``path`` leads on to the goal, so the old one is
+    avoidable. When the search runs dry before the goal is touched, the
+    start reaches nothing further without ``path[m]``, so ``path[m]``
+    separates start and goal; the search then continues from it. Once the
+    goal is touched, every earlier candidate has been released, so the scan
+    stops there.
+    """
+    index = {v: i for i, v in enumerate(path)}
+    adj = graph.adj
+    last = len(path) - 1
+    out = [path[0], path[last]]
+    seen = {path[0]}
+    stack = [path[0]]
+    m = expanded = 0  # expanded: the last separator, already pushed
+    while m != last:
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in seen or w in forbidden:
+                    continue
+                seen.add(w)
+                i = index.get(w, -1)
+                if i <= m:
+                    stack.append(w)
+                    continue
+                if i == last:
+                    return frozenset(out)
+                if m != expanded:
+                    stack.append(path[m])
+                m = i
+        if m == expanded:
+            raise ValueError("no route from path[0] to path[-1] avoids forbidden")
+        out.append(path[m])
+        stack.append(path[m])
+        expanded = m
+    return frozenset(out)

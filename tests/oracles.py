@@ -177,3 +177,27 @@ def best_timed_walk(graph, start, goal, reserved=(), blocked=frozenset(),
 
     extend([start], start_time, 0)
     return best[1]
+
+
+def must_visit_vertices(graph, s, t, forbidden=frozenset()):
+    """Vertices every s-t route avoiding ``forbidden`` visits, s and t included.
+
+    Forbids each other vertex in turn and asks whether t is still reachable
+    from s, by a plain depth-first search along edge direction.
+    """
+
+    def reaches(blocked):
+        seen = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            if u == t:
+                return True
+            for w in graph.adj[u]:
+                if w not in seen and w not in blocked:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    return {s, t} | {v for v in range(graph.n)
+                     if v not in forbidden and v not in (s, t) and not reaches(forbidden | {v})}

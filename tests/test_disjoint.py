@@ -14,7 +14,7 @@ from mappcf.core import (
 )
 from mappcf.disjoint import solve_disjoint
 from mappcf.fileio import parse_map
-from mappcf.gen import fixture, gen_well_formed, random_grid_map, sat_to_mappcf
+from mappcf.gen import fixture, gen_well_formed, grid_graph, random_grid_map, sat_to_mappcf
 from mappcf.verify import verify_syn
 from oracles import disjoint_exists, min_disjoint_cost
 
@@ -34,13 +34,22 @@ def rand_inst(seed):
     return Instance(graph=g, starts=tuple(picks[:k]), goals=tuple(picks[k:]), f=1)
 
 
+def grid_inst(seed):
+    rng = random.Random(seed)
+    cells = [(c, r) for r in range(5) for c in range(5)]
+    g = grid_graph(5, 5, obstacles=frozenset(rng.sample(cells, rng.randrange(3, 7))))
+    k = rng.choice((2, 3))
+    picks = rng.sample(range(g.n), 2 * k)
+    return Instance(graph=g, starts=tuple(picks[:k]), goals=tuple(picks[k:]), f=1)
+
+
 class TestFixturePins:
     def test_corridor_detour_instance(self):
         fx = fixture("fig8")
         res = solve_disjoint(fx.instance)
         assert res.ok and res.status == "solved"
         assert res.paths == fx.disjoint_paths
-        assert res.nodes == 3
+        assert (res.nodes, res.pruned) == (1, 0)
         assert normalized_cost(fx.instance, res.solution) == pytest.approx(10 / 9)
         for f in (0, 1, 2):
             assert verify_syn(fx.instance, res.solution, f=f).ok
@@ -82,47 +91,78 @@ class TestSatInstances:
 
 
 class TestAgainstOracle:
+    # sparse random graphs and 5x5 grids with walls; the grids are where
+    # the search branches and propagation refutes children
+    def cases(self, offset):
+        for seed in range(offset, offset + 400):
+            for inst in (rand_inst(seed), grid_inst(seed)):
+                if not validate_instance(inst):
+                    yield seed, inst
+
     def test_cost_optimal_on_random_graphs(self):
         # the open list orders by total length, so a solved verdict must
         # match the brute-force minimum exactly
-        checked = feasible = 0
-        for seed in range(60):
-            inst = rand_inst(seed)
-            if validate_instance(inst):
-                continue
+        checked = feasible = branched = pruned = 0
+        for seed, inst in self.cases(0):
             want = min_disjoint_cost(inst.graph, inst.starts, inst.goals)
             res = solve_disjoint(inst, deadline=10.0)
             got = None if not res.ok else sum(len(p) - 1 for p in res.paths)
             assert got == want, (seed, got, want)
             checked += 1
             feasible += want is not None
-        assert checked == 60 and feasible == 17
+            branched += res.nodes > 1
+            pruned += res.pruned > 0
+        assert (checked, feasible) == (800, 313)
+        assert branched >= 5 and pruned >= 5
 
     def test_infeasible_verdicts_are_proofs(self):
-        for seed in range(60):
-            inst = rand_inst(seed + 1000)
-            if validate_instance(inst):
-                continue
+        checked = feasible = branched = pruned = 0
+        for seed, inst in self.cases(1000):
             res = solve_disjoint(inst, deadline=10.0)
             assert res.status in ("solved", "infeasible")
-            assert res.ok == disjoint_exists(inst.graph, inst.starts, inst.goals)
+            want = disjoint_exists(inst.graph, inst.starts, inst.goals)
+            assert res.ok == want, seed
+            checked += 1
+            feasible += want
+            branched += res.nodes > 1
+            pruned += res.pruned > 0
+        assert (checked, feasible) == (800, 307)
+        assert branched >= 5 and pruned >= 5
 
 
 class TestGridPins:
     def test_branching_order_on_grid_instances(self):
-        # node counts follow the conflict choice and the open-list order, so
-        # any change to either shows here; (agents, seed, status, nodes)
+        # node counts follow the conflict choice, the open-list order and
+        # the propagation, so any change to these shows here;
+        # (agents, seed, status, nodes, pruned children)
         graph = parse_map(random_grid_map(8, 8, seed=0))
         pins = [
-            (3, 9, "infeasible", 32),
-            (4, 8, "infeasible", 91),
-            (3, 6, "solved", 111),
-            (4, 0, "solved", 46),
-            (2, 3, "solved", 34),
+            (3, 9, "infeasible", 0, 0),
+            (4, 8, "infeasible", 1, 2),
+            (3, 6, "solved", 60, 6),
+            (4, 0, "solved", 14, 1),
+            (2, 3, "solved", 13, 1),
         ]
-        for n, seed, status, nodes in pins:
+        for n, seed, status, nodes, pruned in pins:
             res = solve_disjoint(gen_well_formed(graph, n, 1, seed), deadline=None)
-            assert (res.status, res.nodes) == (status, nodes), (n, seed)
+            assert (res.status, res.nodes, res.pruned) == (status, nodes, pruned), (n, seed)
+
+    def test_benchmark_deck_verdicts_and_costs(self):
+        # every instance of the 8x8 deck the CBS is benchmarked on, run to
+        # a verdict: (agents, seed) -> total length, None when infeasible;
+        # the three largest infeasibility proofs are n2-s1, n2-s2 and n3-s10
+        graph = parse_map(random_grid_map(8, 8, seed=0))
+        costs = {
+            2: (9, None, None, 21, 14, 6, 11, 9, 8, 6, 8, 3),
+            3: (19, 20, None, 9, 20, 19, 26, 12, 18, None, None, 15),
+            4: (28, 19, 18, 16, None, None, 23, None, None, 21, 11, 26),
+        }
+        for n, row in costs.items():
+            for seed, want in enumerate(row):
+                res = solve_disjoint(gen_well_formed(graph, n, 1, seed), deadline=None)
+                assert res.status == ("infeasible" if want is None else "solved"), (n, seed)
+                got = None if not res.ok else sum(len(p) - 1 for p in res.paths)
+                assert got == want, (n, seed)
 
 
 class TestMechanics:

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from mappcf.core import Graph
 from mappcf.gen import grid_graph
 from mappcf.pathfind import (
@@ -10,8 +12,9 @@ from mappcf.pathfind import (
     find_path_seq,
     find_path_seq_cuts,
     find_path_syn,
+    must_visit,
 )
-from oracles import best_timed_walk, simple_paths
+from oracles import best_timed_walk, must_visit_vertices, simple_paths
 
 
 def random_connected_graph(rng, n):
@@ -162,6 +165,45 @@ class TestFindPathSeq:
             found += 1
             partial += cuts != set(path)
         assert found > 150 and partial > 20  # cut sets both full and partial
+
+
+class TestMustVisit:
+    def test_pins(self):
+        # two corridors rejoin at 4, so only 2 and 4 are unavoidable inside
+        g = Graph.build(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 4), (4, 6)])
+        assert must_visit(g, (0, 1, 2, 3, 4, 6)) == {0, 1, 2, 4, 6}
+        assert must_visit(g, (0, 1, 2, 5, 4, 6), frozenset({3})) == {0, 1, 2, 5, 4, 6}
+        assert must_visit(g, (3,)) == {3}
+        d = Graph.build(4, [(0, 1), (1, 3), (0, 2), (2, 1)], directed=True)
+        assert must_visit(d, (0, 2, 1, 3)) == {0, 1, 3}
+
+    def test_raises_when_forbidden_cuts_the_goal_off(self):
+        g = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError):
+            must_visit(g, (0, 1, 2, 3), frozenset({2}))
+
+    def test_matches_vertex_deletion_oracle(self):
+        # shortest and random simple routes, directed and undirected, with
+        # random forbidden sets; the answer must not depend on the route
+        rng = random.Random(77)
+        checked = inner = 0
+        for case in range(3000):
+            n = rng.randrange(3, 10)
+            edges = {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n, 3 * n))}
+            g = Graph.build(n, sorted(edges), directed=case % 2 == 1)
+            s, t = rng.sample(range(n), 2)
+            forbidden = frozenset(rng.sample([v for v in range(n) if v not in (s, t)],
+                                             rng.randrange(n // 3 + 1)))
+            shortest = find_path_seq(g, s, t, forbidden)
+            if shortest is None:
+                continue
+            want = must_visit_vertices(g, s, t, forbidden)
+            routes = [p for p in simple_paths(g, s, t) if not forbidden & set(p)]
+            for path in (shortest, rng.choice(routes)):
+                assert must_visit(g, path, forbidden) == want, case
+            checked += 1
+            inner += len(want) > 2
+        assert checked > 2000 and inner > 500  # separators inside the route occur
 
 
 class TestReservations:
