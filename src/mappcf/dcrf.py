@@ -1,17 +1,24 @@
 """Planner: initial path assignment plus event-driven backup synthesis.
 
-The solver first plans one primary path per agent (prioritized space-time
-planning in the synchronous model, vertex-disjoint simple paths in the
-sequential model; both avoid every other agent's goal). It then maintains a
-queue of unresolved events: a hypothetical crash of one agent at a vertex
-that would block another agent's path further along. Resolving an event
-plans a backup path branching one step before the blocked vertex, avoiding
-every vertex assumed crashed so far, and installs a transition rule that
-switches to the backup when the crash is actually observed. New paths
-spawn new events against every other path whose crash assumptions can
-coexist with theirs; resolution continues until the queue drains. A single
-unresolvable event fails the whole attempt; restarts reshuffle the
-priority order.
+The solver plans one primary path per agent by priority, each avoiding
+every other agent's goal; a failed attempt restarts with a seeded
+reshuffle of the priority order.
+
+Sequential model: prioritized vertex-disjoint planning with seeded
+restarts. Each agent takes a simple path through vertices no earlier agent
+uses, so a crashed agent never stands on another agent's path, no event
+arises, and every seq plan is one rule-free path per agent.
+
+Synchronous model: prioritized space-time planning, then the event engine;
+the event queue, the backups and the transition rules below belong to this
+model only. The queue holds unresolved events: a hypothetical crash of one
+agent at a vertex that would block another agent's path further along.
+Resolving an event plans a backup path branching one step before the
+blocked vertex, avoiding every vertex assumed crashed so far, and installs
+a transition rule that switches to the backup when the crash is actually
+observed. New paths spawn new events against every other path whose crash
+assumptions can coexist with theirs; resolution continues until the queue
+drains. A single unresolvable event fails the whole attempt.
 
 Crash assumptions are tracked per path as alternatives (sets of crash
 sets): under the identity-revealing detector each backup usually assumes
@@ -46,34 +53,32 @@ from .core import (
 from .pathfind import Reservations, SynConstraints, find_path_seq, find_path_syn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Crash:
     """A hypothetical crash: agent stops forever at vertex.
 
     ``when`` is the synchronous round in which the vertex is occupied by the
-    crashed agent; the sequential model has no global clock, so ``when`` is
-    None and the crash is assumed possible at any point.
+    crashed agent. Events, backups and rules belong to the synchronous
+    model: seq-dcrf is prioritized vertex-disjoint planning with seeded
+    restarts, so its plans are rule-free.
     """
 
     agent: int
     vertex: int
-    when: "int | None" = None
-
-    def sort_key(self):
-        w = -1 if self.when is None else self.when
-        return (self.agent, self.vertex, w)
+    when: int
 
 
 @dataclass(frozen=True)
 class Effect:
     """Where a crash bites: agent's path ``path`` reaches ``vertex`` at
-    1-based ``at_index`` (in the synchronous model at round ``when``)."""
+    1-based ``at_index`` in synchronous round ``when`` (synchronous model
+    only, as for :class:`Crash`)."""
 
     agent: int
     path: int
     vertex: int
     at_index: int
-    when: "int | None" = None
+    when: int
 
 
 @dataclass(frozen=True)
@@ -86,17 +91,14 @@ class Event:
         return (self.crash, *self.merged)
 
 
-def prune_inconsistent(assumptions_a, assumptions_b, f: int) -> bool:
-    """True if two crash-assumption sets cannot belong to one execution.
+def _coexists(alt_a: frozenset, alt_b: frozenset, f: int) -> bool:
+    """True if two crash-assumption sets can belong to one execution.
 
-    Inconsistent means: some agent is assumed crashed in two different
-    places/rounds across the union, or the union needs more than ``f``
-    crashes. Pairs of paths whose assumptions are inconsistent never
+    They cannot when some agent is assumed crashed in two different
+    places/rounds across the union, or when the union needs more than
+    ``f`` crashes. Pairs of paths whose assumptions cannot coexist never
     co-execute, so no events are generated between them.
     """
-    return not _coexists(frozenset(assumptions_a), frozenset(assumptions_b), f)
-
-def _coexists(alt_a: frozenset, alt_b: frozenset, f: int) -> bool:
     union = alt_a | alt_b
     if len(union) > f:
         return False
@@ -194,7 +196,7 @@ class Planner:
                 if any(c2.agent == c.agent and c2 != c for c2 in alt):
                     continue
                 out.add(alt | {c})
-        return tuple(sorted(out, key=lambda s: sorted(c.sort_key() for c in s)))
+        return tuple(sorted(out, key=sorted))
 
     def _compatible(self, alts_a, a: int, b: int, pb: int) -> bool:
         """Can agent a, under crash alternatives ``alts_a``, and agent b's
@@ -240,8 +242,9 @@ class Planner:
             if bad:
                 raise ValueError("; ".join(bad))
         if self.cfg.model == SEQ:
-            # seq soundness rests on vertex-disjoint primaries: overlapping
-            # ones can deadlock with no crash, and no event would catch it
+            # run_events plans no seq backups, which is sound only for
+            # vertex-disjoint primaries: overlapping ones can deadlock with
+            # no crash at all
             owner: dict[int, int] = {}
             for a, p in enumerate(paths):
                 for v in p:
@@ -348,10 +351,7 @@ class Planner:
 
     def _push_event(self, ev: Event) -> None:
         eff = ev.effect
-        if self.cfg.model == SYN:
-            key = (eff.when, eff.agent, ev.crash.agent, self._seq)
-        else:
-            key = (eff.at_index, eff.agent, ev.crash.agent, self._seq)
+        key = (eff.when, eff.agent, ev.crash.agent, self._seq)
         heapq.heappush(self.queue, (key, ev))
         self._seq += 1
 
@@ -359,31 +359,24 @@ class Planner:
         """Crashes of b along its path pb that block a's path pa."""
         path_a = self.paths[a][pa]
         path_b = self.paths[b][pb]
+        ea = self.entry[a][pa]
+        eb = self.entry[b][pb]
+        # ascending times of b at each vertex, 1-based positions of a
+        times_b: dict[int, list[int]] = {}
+        for k, v in enumerate(path_b):
+            times_b.setdefault(v, []).append(eb + k)
+        pos_a: dict[int, list[int]] = {}
+        for i, v in enumerate(path_a, 1):
+            pos_a.setdefault(v, []).append(i)
         out = []
-        if self.cfg.model == SYN:
-            ea = self.entry[a][pa]
-            eb = self.entry[b][pb]
-            # ascending times of b at each vertex, 1-based positions of a
-            times_b: dict[int, list[int]] = {}
-            for k, v in enumerate(path_b):
-                times_b.setdefault(v, []).append(eb + k)
-            pos_a: dict[int, list[int]] = {}
-            for i, v in enumerate(path_a, 1):
-                pos_a.setdefault(v, []).append(i)
-            for v in sorted(times_b.keys() & pos_a.keys()):
-                at = pos_a[v]
-                for tb in times_b[v]:
-                    # a is blocked at its first visit to v after time tb
-                    j = bisect_right(at, tb - ea + 1)
-                    if j < len(at) and at[j] >= 2:
-                        eff = Effect(a, pa, v, at[j], ea + at[j] - 1)
-                        out.append((Crash(b, v, tb), eff))
-        else:
-            for v in sorted(set(path_a) & set(path_b)):
-                first = path_a.index(v) + 1
-                if first < 2:
-                    continue
-                out.append((Crash(b, v, None), Effect(a, pa, v, first, None)))
+        for v in sorted(times_b.keys() & pos_a.keys()):
+            at = pos_a[v]
+            for tb in times_b[v]:
+                # a is blocked at its first visit to v after time tb
+                j = bisect_right(at, tb - ea + 1)
+                if j < len(at) and at[j] >= 2:
+                    eff = Effect(a, pa, v, at[j], ea + at[j] - 1)
+                    out.append((Crash(b, v, tb), eff))
         return out
 
     def _gen_events_for(self, keys) -> None:
@@ -419,9 +412,9 @@ class Planner:
             mkey = (eff.agent, eff.path, eff.at_index, cr.vertex)
         batch.setdefault(mkey, []).append((cr, eff))
     def _flush(self, batch: dict) -> None:
-        for mkey in sorted(batch, key=lambda k: tuple(-1 if x is None else x for x in k)):
+        for mkey in sorted(batch):
             entries = batch[mkey]
-            entries.sort(key=lambda ce: ce[0].sort_key())
+            entries.sort(key=lambda ce: ce[0])
             crashes = [ce[0] for ce in entries]
             self._push_event(Event(crashes[0], entries[0][1], tuple(crashes[1:])))
 
@@ -457,28 +450,16 @@ class Planner:
         blocked = self._chain_blocked(a, base) | {cr.vertex for cr in cands}
         blocked |= extra_blocked
         probe = self._probe_alts(a, base, cands)
-        if self.cfg.model == SYN:
-            t_branch = self.entry[a][p] + c - 2
-            res = Reservations()
-            for b in inst.agents():
-                if b == a:
-                    continue
-                for pb in range(len(self.paths[b])):
-                    if self._compatible(probe, a, b, pb):
-                        res.add_path(self.paths[b][pb], self.entry[b][pb])
-            cons = SynConstraints(blocked=frozenset(blocked), reservations=res)
-            return find_path_syn(
-                inst.graph, branch_v, inst.goals[a], cons, t_branch, inst.f
-            )
-        forbidden = set(blocked)
-        forbidden.update(inst.goals[b] for b in inst.agents() if b != a)
+        t_branch = self.entry[a][p] + c - 2
+        res = Reservations()
         for b in inst.agents():
             if b == a:
                 continue
             for pb in range(len(self.paths[b])):
                 if self._compatible(probe, a, b, pb):
-                    forbidden.update(self.paths[b][pb])
-        return find_path_seq(inst.graph, branch_v, inst.goals[a], frozenset(forbidden))
+                    res.add_path(self.paths[b][pb], self.entry[b][pb])
+        cons = SynConstraints(blocked=frozenset(blocked), reservations=res)
+        return find_path_syn(inst.graph, branch_v, inst.goals[a], cons, t_branch, inst.f)
 
     # -- stage 4: resolution loop -----------------------------------------
 
@@ -515,7 +496,7 @@ class Planner:
         # observable one round earlier, at the slot whose rule created that
         # backup (crashed agents stay put), so the dodge is parked there,
         # ahead of the rules it guards, as a sibling of the blocked path.
-        redirect = self.cfg.model == SYN and c == 2 and p != 0
+        redirect = c == 2 and p != 0
         if redirect:
             pp, pc, _pcands = self.parent[a][p]
             slot_path, slot_idx = pp, pc - 1
@@ -537,10 +518,7 @@ class Planner:
         np = len(self.paths[a])
         self.paths[a].append(new_path)
         self.parent[a].append((slot_path, slot_idx + 1, list(cands)))
-        if self.cfg.model == SYN:
-            self.entry[a].append(self.entry[a][p] + c - 2)
-        else:
-            self.entry[a].append(1)
+        self.entry[a].append(self.entry[a][p] + c - 2)
         rule = TransitionRule(slot_path, slot_idx, watch, trigger, np)
         if redirect:
             group = self._slot_siblings(a, slot_path, slot_idx)
@@ -584,8 +562,6 @@ class Planner:
 
     def _paths_conflict(self, a: int, pa: int, b: int, pb: int) -> bool:
         path_a, path_b = self.paths[a][pa], self.paths[b][pb]
-        if self.cfg.model == SEQ:
-            return bool(set(path_a) & set(path_b))
         # b holds path_b[t - tb] from time tb on, and its last vertex forever
         # after; a must not meet it, swap with it, or park where b comes later
         ta, tb = self.entry[a][pa], self.entry[b][pb]
@@ -605,6 +581,8 @@ class Planner:
         return goal == path_b[-1] or goal in path_b[max(0, ta + len(path_a) - tb):]
 
     def run_events(self) -> str:
+        if self.cfg.model == SEQ:
+            return "solved"  # disjoint primaries: no crash blocks another agent
         self._gen_events_for([(a, 0) for a in self.inst.agents()])
         while self.queue:
             self._tick()

@@ -118,10 +118,7 @@ def step_syn(inst: Instance, sol: Solution, states, crash_now=frozenset(), trace
         if rule is not None:
             after_rules[a] = nst
             if trace is not None:
-                trace.note(
-                    f"switch agent={a} path={rule.from_path}@{rule.at_index}"
-                    f" watch={rule.watch} saw={rule.trigger} to={rule.to_path}"
-                )
+                trace.switch(a, rule)
     sts = after_rules
 
     moved: dict[int, tuple[int, int]] = {}
@@ -173,6 +170,13 @@ class Trace:
 
     def note(self, msg: str) -> None:
         self.lines.append(f"[{self._t}] {msg}")
+
+    def switch(self, a: int, rule) -> None:
+        """Record agent ``a`` taking transition rule ``rule``."""
+        self.note(
+            f"switch agent={a} path={rule.from_path}@{rule.at_index}"
+            f" watch={rule.watch} saw={rule.trigger} to={rule.to_path}"
+        )
 
     def config(self, sol: Solution, states) -> None:
         parts = []
@@ -256,10 +260,7 @@ def activate_seq(inst: Instance, sol: Solution, states, a: int, trace=None):
     occ = occupancy(sol, states)
     nst, rule = _fire_rule(sol, a, st, occ)
     if rule is not None and trace is not None:
-        trace.note(
-            f"switch agent={a} path={rule.from_path}@{rule.at_index}"
-            f" watch={rule.watch} saw={rule.trigger} to={rule.to_path}"
-        )
+        trace.switch(a, rule)
     path = sol.plans[a].paths[nst.path]
     if nst.progress < len(path):
         w = path[nst.progress]

@@ -110,6 +110,12 @@ class TestRunSyn:
         text = r.trace.text()
         assert "crash" in text
 
+    def test_trace_names_the_fired_rule(self, fig1):
+        inst, syn, _ = fig1
+        r = run_syn(inst, syn, {0: 2})
+        switches = [ln for ln in r.trace.lines if " switch " in ln]
+        assert switches == ["[t=2] switch agent=1 path=0@2 watch=1 saw=crashed to=2"]
+
 
 class TestRunSeq:
     def test_vacant_branch(self, fig1):
@@ -124,6 +130,12 @@ class TestRunSeq:
         r = run_seq(inst, seq, [("crash", 0)] + [("activate", 1)] * 3)
         assert r.outcome == "arrived" and r.steps == 4
         assert [st.path for st in r.states] == [0, 1]
+
+    def test_trace_names_the_fired_rule(self, fig1):
+        inst, _, seq = fig1
+        r = run_seq(inst, seq, [("crash", 0)] + [("activate", 1)] * 3)
+        switches = [ln for ln in r.trace.lines if " switch " in ln]
+        assert switches == ["[#2] switch agent=1 path=0@1 watch=0 saw=crashed to=1"]
 
     def test_early_activation_fires_nothing(self, fig1):
         # j looks while i still sits on 0: neither rule matches, j stays
