@@ -71,6 +71,8 @@ def _cmd_solve(args) -> int:
     inst = fileio.read_instance(args.instance)
     if args.f is not None:
         inst = replace(inst, f=args.f)
+    if args.priority and args.algo != "dcrf":
+        raise ValueError(f"--priority pins dcrf's planning order; --algo {args.algo} has none")
     priority = _read_priority(args.priority) if args.priority else None
     cfg = SolverConfig(
         model=args.model,

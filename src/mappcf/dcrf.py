@@ -20,6 +20,12 @@ observed. New paths spawn new events against every other path whose crash
 assumptions can coexist with theirs; resolution continues until the queue
 drains. A single unresolvable event fails the whole attempt.
 
+Every synchronous search (initial plans, refinement, backups) is memoized
+per solve (``Planner._search``). A restart reruns most of the previous
+attempt's searches, and a search depends only on its agent, start, start
+time, blocked set and the *set* of timed paths it avoids (reservations do
+not depend on the order or repetition of their paths), so a hit is exact.
+
 Crash assumptions are tracked per path as alternatives (sets of crash
 sets): under the identity-revealing detector each backup usually assumes
 exactly one crash chain, while anonymous observations merge
@@ -141,18 +147,38 @@ class SolveResult:
         return self.status == "solved"
 
 
+class SearchMemo:
+    """``find_path_syn`` results of one solve, keyed by their exact input.
+
+    A key is ``(agent, start, start time, blocked, penalize, mask)``. The
+    agent fixes the goal; the graph and ``f`` are the instance's. ``mask``
+    has one bit per ``(path, entry)`` pair the reservations are built
+    from, and ``bits`` numbers each distinct pair on first sight. With
+    ``penalize`` the penalty set is the vertices of those paths, so it
+    needs no place of its own in the key.
+    """
+
+    def __init__(self):
+        self.bits: dict = {}
+        self.found: dict = {}
+
+
 class Planner:
     """One planning attempt over a fixed priority order.
 
     Exposes the pipeline stages separately (initial plans, event
     generation, backup search, refinement) so each can be exercised on its
-    own; :func:`solve` drives them end to end with restarts.
+    own; :func:`solve` drives them end to end with restarts, handing every
+    attempt the same ``memo`` (one instance only: the keys leave out the
+    graph, the goals and ``f``).
     """
 
-    def __init__(self, inst: Instance, config: "SolverConfig | None" = None, deadline_at=None):
+    def __init__(self, inst: Instance, config: "SolverConfig | None" = None, deadline_at=None,
+                 memo: "SearchMemo | None" = None):
         self.inst = inst
         self.cfg = config if config is not None else SolverConfig()
         self.deadline_at = deadline_at
+        self.memo = memo if memo is not None else SearchMemo()
         n = inst.n_agents
         self.paths: list[list[Path]] = [[] for _ in range(n)]
         self.entry: list[list[int]] = [[] for _ in range(n)]
@@ -172,6 +198,35 @@ class Planner:
     def _tick(self):
         if self.deadline_at is not None and time.process_time() > self.deadline_at:
             raise Timeout
+
+    def _other_goals(self, a: int) -> frozenset:
+        inst = self.inst
+        return frozenset(inst.goals[b] for b in inst.agents() if b != a)
+
+    def _search(self, a: int, start: int, t0: int, blocked: frozenset, timed,
+                penalize: bool = False):
+        """``find_path_syn`` for agent a from ``start`` at time ``t0``,
+        avoiding ``blocked`` and the ``(path, entry)`` pairs ``timed``; with
+        ``penalize``, preferring to stay off the vertices of those paths.
+
+        Looked up in ``self.memo`` first (see :class:`SearchMemo`)."""
+        bits = self.memo.bits
+        mask = 0
+        for pe in timed:
+            mask |= 1 << bits.setdefault(pe, len(bits))
+        key = (a, start, t0, blocked, penalize, mask)
+        found = self.memo.found
+        if key in found:
+            return found[key]
+        res = Reservations()
+        for p, e in timed:
+            res.add_path(p, e)
+        penalty = frozenset(v for p, _e in timed for v in p) if penalize else frozenset()
+        cons = SynConstraints(blocked=blocked, reservations=res, penalty=penalty)
+        inst = self.inst
+        path = find_path_syn(inst.graph, start, inst.goals[a], cons, t0, inst.f)
+        found[key] = path
+        return path
 
     def _alts(self, a: int, p: int) -> "tuple[frozenset, ...]":
         key = (a, p, self._rev)
@@ -275,16 +330,14 @@ class Planner:
         order = list(order) if order is not None else list(inst.agents())
         got: dict[int, Path] = {}
         if self.cfg.model == SYN:
-            res = Reservations()
+            timed: list = []
             for a in order:
                 self._tick()
-                blocked = frozenset(inst.goals[b] for b in inst.agents() if b != a)
-                penalty = frozenset(v for p in got.values() for v in p)
-                cons = SynConstraints(blocked=blocked, reservations=res, penalty=penalty)
-                p = find_path_syn(inst.graph, inst.starts[a], inst.goals[a], cons, 1, inst.f)
+                p = self._search(a, inst.starts[a], 1, self._other_goals(a), timed,
+                                 penalize=True)
                 if p is None:
                     return False
-                res.add_path(p, 1)
+                timed.append((p, 1))
                 got[a] = p
         else:
             used: set = set()
@@ -325,16 +378,9 @@ class Planner:
             for a in order:
                 self._tick()
                 cur = [self.paths[b][0] for b in inst.agents()]
-                res = Reservations()
-                for b in inst.agents():
-                    if b != a:
-                        res.add_path(self.paths[b][0], 1)
-                blocked = frozenset(inst.goals[b] for b in inst.agents() if b != a)
-                penalty = frozenset(
-                    v for b in inst.agents() if b != a for v in self.paths[b][0]
-                )
-                cons = SynConstraints(blocked=blocked, reservations=res, penalty=penalty)
-                cand = find_path_syn(inst.graph, inst.starts[a], inst.goals[a], cons, 1, inst.f)
+                timed = [(cur[b], 1) for b in inst.agents() if b != a]
+                cand = self._search(a, inst.starts[a], 1, self._other_goals(a), timed,
+                                    penalize=True)
                 if cand is None or len(cand) > len(cur[a]) or cand == cur[a]:
                     continue
                 trial = list(cur)
@@ -411,6 +457,7 @@ class Planner:
         else:
             mkey = (eff.agent, eff.path, eff.at_index, cr.vertex)
         batch.setdefault(mkey, []).append((cr, eff))
+
     def _flush(self, batch: dict) -> None:
         for mkey in sorted(batch):
             entries = batch[mkey]
@@ -439,7 +486,6 @@ class Planner:
         dodge is parked at the parent slot and becomes a sibling instead of
         a child of the blocked path).
         """
-        inst = self.inst
         a = ev.effect.agent
         p = ev.effect.path
         c = ev.effect.at_index
@@ -451,15 +497,13 @@ class Planner:
         blocked |= extra_blocked
         probe = self._probe_alts(a, base, cands)
         t_branch = self.entry[a][p] + c - 2
-        res = Reservations()
-        for b in inst.agents():
-            if b == a:
-                continue
-            for pb in range(len(self.paths[b])):
-                if self._compatible(probe, a, b, pb):
-                    res.add_path(self.paths[b][pb], self.entry[b][pb])
-        cons = SynConstraints(blocked=frozenset(blocked), reservations=res)
-        return find_path_syn(inst.graph, branch_v, inst.goals[a], cons, t_branch, inst.f)
+        timed = [
+            (self.paths[b][pb], self.entry[b][pb])
+            for b in self.inst.agents() if b != a
+            for pb in range(len(self.paths[b]))
+            if self._compatible(probe, a, b, pb)
+        ]
+        return self._search(a, branch_v, t_branch, frozenset(blocked), timed)
 
     # -- stage 4: resolution loop -----------------------------------------
 
@@ -605,6 +649,10 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     ``config.restarts`` seeded reshuffles on failure. Forced initial paths
     or a pinned priority imply a single attempt, since a retry would repeat
     it verbatim.
+
+    The attempts share one :class:`SearchMemo`, so a search that a restart
+    repeats with the same input runs once; the result is unchanged, as a
+    search is a function of that input.
     """
     cfg = config if config is not None else SolverConfig()
     bad = validate_instance(inst)
@@ -629,9 +677,10 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
 
     last = SolveResult(status="init_paths")
     attempts = 0
+    memo = SearchMemo()
     for attempt in range(attempts_allowed):
         order = base_order if attempt == 0 else tuple(rng.sample(range(n), n))
-        planner = Planner(inst, cfg, deadline_at)
+        planner = Planner(inst, cfg, deadline_at, memo)
         attempts += 1
         try:
             if cfg.initial_paths is not None:

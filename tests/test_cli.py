@@ -70,6 +70,19 @@ class TestSolveVerifyFlow:
         assert code == 2
         assert "reason=no_backup" in capsys.readouterr().out
 
+    def test_priority_with_disjoint_is_an_error(self, tmp_path, capsys):
+        inst = gen_fixture(tmp_path, "fig8")
+        prio = tmp_path / "fig8.instance.priority.txt"
+        capsys.readouterr()
+        code = run_cli(
+            "solve", "--instance", str(inst), "--algo", "disjoint",
+            "--priority", str(prio),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--priority" in captured.err
+        assert captured.out == ""
+
     def test_verify_reference_seq_solution(self, tmp_path):
         inst = gen_fixture(tmp_path, "fig1")
         ref = tmp_path / "fig1.instance.ref-seq-afd.json"

@@ -1,10 +1,13 @@
 """Decoupled crash-resolution solver: events, backups, failure modes."""
 
+import hashlib
 import random
 
 import pytest
 
+from mappcf import dcrf
 from mappcf.core import (
+    AFD,
     NFD,
     SEQ,
     SYN,
@@ -24,7 +27,7 @@ from mappcf.dcrf import (
 )
 from mappcf.fileio import parse_map
 from mappcf.gen import fixture, gen_well_formed, grid_graph, random_grid_map
-from mappcf.pathfind import Reservations
+from mappcf.pathfind import Reservations, SynConstraints, find_path_syn
 from mappcf.verify import verify, verify_syn
 
 
@@ -292,3 +295,75 @@ class TestDeterminismAndSoundness:
             assert validate_solution(inst, res.solution, strict=True) == []
             assert verify(inst, res.solution, f=1).ok
         assert solved >= 20  # the sweep is not vacuous
+
+
+class TestSearchMemo:
+    """Every attempt of one syn solve shares a memo of its space-time
+    searches; the outputs must stay those of unmemoized searching."""
+
+    def test_hits_equal_fresh_searches(self):
+        # queries drawn from small pools, so inputs that differ in one part
+        # only (start time, penalty, entry of a timed path) meet in the memo
+        rng = random.Random(3)
+        g = grid_graph(4, 4)
+        inst = Instance(graph=g, starts=(0, 3), goals=(15, 12), f=1)
+        planner = Planner(inst)
+
+        def walk():
+            path = [rng.randrange(16)]
+            for _ in range(rng.randint(1, 5)):
+                path.append(rng.choice((path[-1], *g.adj[path[-1]])))
+            return tuple(path)
+
+        pool = [(walk(), rng.randint(1, 2)) for _ in range(3)]
+        pool += [(p, 3 - e) for p, e in pool]  # same paths, other entries
+        blocks = [frozenset(), frozenset({5, 6}), frozenset({11, 14})]  # last: 15 cut off
+        outcomes = set()
+        for _ in range(3000):
+            a, start, t0 = rng.randrange(2), rng.choice((0, 4)), rng.randint(1, 2)
+            blocked, penalize = rng.choice(blocks), rng.random() < 0.5
+            timed = rng.choices(pool, k=rng.randrange(4))
+            got = planner._search(a, start, t0, blocked, timed, penalize)
+            res = Reservations()
+            for p, e in timed:
+                res.add_path(p, e)
+            penalty = frozenset(v for p, _e in timed for v in p) if penalize else frozenset()
+            cons = SynConstraints(blocked=blocked, reservations=res, penalty=penalty)
+            assert got == find_path_syn(g, start, inst.goals[a], cons, t0, inst.f)
+            outcomes.add(got)
+        assert len(planner.memo.found) < 1500 and len(outcomes) > 10 and None in outcomes
+
+    def test_syn_outputs_are_pinned(self, data_dir):
+        # digest computed with a search per call, before the memo existed
+        maps = {
+            "grid-8-8-s0": parse_map(random_grid_map(8, 8, seed=0)),
+            "random-16-16-10": parse_map((data_dir / "random-16-16-10.map").read_text()),
+        }
+        rows = []
+        for name, g in maps.items():
+            for n in range(2, 9):
+                for f in (1, 2):
+                    for seed in range(4):
+                        inst = gen_well_formed(g, n, f, seed)
+                        for fd in (NFD, AFD):
+                            r = solve(inst, SolverConfig(model=SYN, fd=fd, deadline=None))
+                            rows.append((name, n, f, seed, fd, r.status, r.solution,
+                                         r.events, r.initial_paths, r.attempts))
+        assert len(rows) == 224
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "f564263888ace002921ce3f74b4368e18d3b022aefb2f573ff54ba4aa0bcef18"
+
+    def test_restarts_reuse_searches(self, data_dir, monkeypatch):
+        calls = []
+        search = dcrf.find_path_syn
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(dcrf, "find_path_syn", counting)
+        g = parse_map((data_dir / "random-16-16-10.map").read_text())
+        inst = gen_well_formed(g, 8, 1, 2)
+        r = solve(inst, SolverConfig(model=SYN, fd=NFD, deadline=None))
+        assert (r.status, r.attempts) == ("no_backup", 11)
+        assert len(calls) == 188  # 810 with one search per call

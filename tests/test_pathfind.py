@@ -235,6 +235,30 @@ class TestReservations:
         res.add_path((0, 1, 2), start_time=4)
         assert res.max_time == 6
 
+    def test_content_ignores_order_and_repeats(self):
+        # dcrf memoizes searches on the *set* of timed paths behind the
+        # reservations, which is exact only if this holds
+        def content(pairs):
+            res = Reservations()
+            for path, start in pairs:
+                res.add_path(path, start)
+            return res._occupied, res._moves, res._forever, res._last, res.max_time
+
+        rng = random.Random(5)
+        for _ in range(300):
+            pairs = []
+            for _ in range(rng.randint(1, 6)):
+                path = [rng.randrange(6)]
+                for _ in range(rng.randrange(8)):
+                    # few vertices, so waits, revisits and shared ends occur
+                    path.append(path[-1] if rng.random() < 0.3 else rng.randrange(6))
+                pairs.append((tuple(path), rng.randint(1, 6)))
+            want = content(pairs)
+            for _ in range(4):
+                shuffled = pairs + rng.choices(pairs, k=rng.randint(0, 3))
+                rng.shuffle(shuffled)
+                assert content(shuffled) == want
+
 
 class TestFindPathSyn:
     def test_unconstrained_matches_seq(self):
