@@ -71,15 +71,17 @@ def _cmd_solve(args) -> int:
     inst = fileio.read_instance(args.instance)
     if args.f is not None:
         inst = replace(inst, f=args.f)
-    if args.priority and args.algo != "dcrf":
-        raise ValueError(f"--priority pins dcrf's planning order; --algo {args.algo} has none")
+    if args.algo != "dcrf":
+        for flag in ("priority", "seed", "refine"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies to dcrf only, not to --algo {args.algo}")
     priority = _read_priority(args.priority) if args.priority else None
     cfg = SolverConfig(
         model=args.model,
         fd=args.fd,
         deadline=args.timeout,
-        seed=args.seed,
-        refine=args.refine == "on",
+        seed=args.seed or 0,
+        refine=args.refine != "off",
         priority=priority,
     )
     sol, reason, runtime = _run_algo(inst, args.algo, cfg)
@@ -315,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--fd", choices=DETECTORS, default=NFD)
     ps.add_argument("--algo", choices=ALGOS, default="dcrf")
     ps.add_argument("--f", type=int, default=None, help="override the document's f")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=int, help="dcrf's restart seed (default 0)")
     ps.add_argument("--timeout", type=float, default=30.0)
-    ps.add_argument("--refine", choices=("on", "off"), default="on")
+    ps.add_argument("--refine", choices=("on", "off"), help="dcrf's refinement pass (default on)")
     ps.add_argument("--priority", help="file pinning the planning order")
     ps.add_argument("--out", help="solution document path")
     ps.set_defaults(func=_cmd_solve)

@@ -56,7 +56,7 @@ from .core import (
     validate_instance,
     _path_violations,
 )
-from .pathfind import Reservations, SynConstraints, find_path_seq, find_path_syn
+from .pathfind import Reservations, find_path_seq, find_path_syn
 
 
 @dataclass(frozen=True, order=True)
@@ -184,14 +184,14 @@ class Planner:
         self.entry: list[list[int]] = [[] for _ in range(n)]
         # per path: None for primaries, else (parent path, at_index, [crash candidates])
         self.parent: list[list] = [[] for _ in range(n)]
+        # per path: its crash alternatives, the crash sets it may run under
+        self.alts: list[list[tuple[frozenset, ...]]] = [[] for _ in range(n)]
         self.rules: list[list] = [[] for _ in range(n)]
         self.rule_target: dict = {}
         self.queue: list = []
         self.resolved: list[Event] = []
         self._seen_crashes: set = set()
         self._seq = 0
-        self._rev = 0
-        self._alt_memo: dict = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -222,31 +222,17 @@ class Planner:
         for p, e in timed:
             res.add_path(p, e)
         penalty = frozenset(v for p, _e in timed for v in p) if penalize else frozenset()
-        cons = SynConstraints(blocked=blocked, reservations=res, penalty=penalty)
         inst = self.inst
-        path = find_path_syn(inst.graph, start, inst.goals[a], cons, t0, inst.f)
+        path = find_path_syn(inst.graph, start, inst.goals[a], t0, inst.f,
+                             blocked=blocked, reservations=res, penalty=penalty)
         found[key] = path
         return path
-
-    def _alts(self, a: int, p: int) -> "tuple[frozenset, ...]":
-        key = (a, p, self._rev)
-        hit = self._alt_memo.get(key)
-        if hit is not None:
-            return hit
-        edge = self.parent[a][p]
-        if edge is None:
-            res = (frozenset(),)
-        else:
-            pp, _idx, cands = edge
-            res = self._probe_alts(a, pp, cands)
-        self._alt_memo[key] = res
-        return res
 
     def _probe_alts(self, a: int, p: int, cands) -> "tuple[frozenset, ...]":
         """Alternatives of a's path p, each extended by one crash candidate
         that does not contradict it."""
         out = set()
-        for alt in self._alts(a, p):
+        for alt in self.alts[a][p]:
             for c in cands:
                 if any(c2.agent == c.agent and c2 != c for c2 in alt):
                     continue
@@ -265,7 +251,7 @@ class Planner:
         for alt_a in alts_a:
             if any(c.agent == b for c in alt_a):
                 continue
-            for alt_b in self._alts(b, pb):
+            for alt_b in self.alts[b][pb]:
                 if any(c.agent == a for c in alt_b):
                     continue
                 if _coexists(alt_a, alt_b, f):
@@ -315,6 +301,7 @@ class Planner:
             self.paths[a] = [tuple(p)]
             self.entry[a] = [1]
             self.parent[a] = [None]
+            self.alts[a] = [(frozenset(),)]
             self.rules[a] = []
 
     def get_initial_plans(self, order=None) -> bool:
@@ -434,7 +421,7 @@ class Planner:
         collected into the same batch merge."""
         batch: dict = {}
         for a, pa in keys:
-            alts_a = self._alts(a, pa)
+            alts_a = self.alts[a][pa]
             for b in self.inst.agents():
                 if b == a:
                     continue
@@ -562,6 +549,7 @@ class Planner:
         np = len(self.paths[a])
         self.paths[a].append(new_path)
         self.parent[a].append((slot_path, slot_idx + 1, list(cands)))
+        self.alts[a].append(self._probe_alts(a, slot_path, cands))
         self.entry[a].append(self.entry[a][p] + c - 2)
         rule = TransitionRule(slot_path, slot_idx, watch, trigger, np)
         if redirect:
@@ -575,33 +563,27 @@ class Planner:
 
     def _extend_backup(self, a: int, target: int, cands) -> str:
         """A later crash candidate maps onto an existing rule: widen that
-        backup's assumptions and make sure it (and its descendants) stay
-        collision-free against every path that now coexists with them."""
-        _pp, _idx, stored = self.parent[a][target]
+        backup's assumptions and make sure it stays collision-free against
+        every path that now coexists with it.
+
+        The backup has no children, so no other path's alternatives change:
+        a rule key fixes the slot, so this event has the round of the one
+        that made the backup; a child needs an event at index 3 or later of
+        the backup (index-2 events make siblings), so in a later round; and
+        events pop in nondecreasing round order."""
+        pp, _idx, stored = self.parent[a][target]
         add = [c for c in cands if c not in stored]
         if not add:
             return "ok"
         stored.extend(add)
-        self._rev += 1
-        subtree = [target]
-        i = 0
-        while i < len(subtree):
-            for q in range(len(self.paths[a])):
-                edge = self.parent[a][q]
-                if edge is not None and edge[0] == subtree[i] and q not in subtree:
-                    subtree.append(q)
-            i += 1
-        for sigma in subtree:
-            alts = self._alts(a, sigma)
-            for b in self.inst.agents():
-                if b == a:
-                    continue
-                for pb in range(len(self.paths[b])):
-                    if not self._compatible(alts, a, b, pb):
-                        continue
-                    if self._paths_conflict(a, sigma, b, pb):
-                        return "no_backup"
-            self._gen_events_for([(a, sigma)])
+        alts = self.alts[a][target] = self._probe_alts(a, pp, stored)
+        for b in self.inst.agents():
+            if b == a:
+                continue
+            for pb in range(len(self.paths[b])):
+                if self._compatible(alts, a, b, pb) and self._paths_conflict(a, target, b, pb):
+                    return "no_backup"
+        self._gen_events_for([(a, target)])
         return "ok"
 
     def _paths_conflict(self, a: int, pa: int, b: int, pb: int) -> bool:

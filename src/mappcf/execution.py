@@ -206,7 +206,7 @@ def _settled(states) -> bool:
     return all(st.status != CORRECT_ST for st in states)
 
 
-def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]", max_steps=None) -> RunResult:
+def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> RunResult:
     """Run the synchronous model to completion under a fixed crash pattern.
 
     ``crash_times`` maps agent id to the round in which it crashes (1-based;
@@ -224,10 +224,6 @@ def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]", max_st
         if _settled(states):
             return RunResult("arrived", t, states, trace)
         t += 1
-        if max_steps is not None and t > max_steps:
-            stuck = tuple(a for a, st in enumerate(states) if st.status == CORRECT_ST)
-            trace.note("step budget exhausted")
-            return RunResult("stuck", t, states, trace, stuck_agents=stuck)
         trace.begin(f"t={t}")
         crash_now = frozenset(a for a, ct in crash_times.items() if ct == t)
         states, coll = step_syn(inst, sol, states, crash_now, trace)
@@ -322,14 +318,14 @@ def run_seq(inst: Instance, sol: Solution, schedule) -> RunResult:
     return RunResult(outcome, len(schedule), states, trace, stuck_agents=stuck)
 
 
-def run(inst: Instance, sol: Solution, adversary, max_steps=None) -> RunResult:
+def run(inst: Instance, sol: Solution, adversary) -> RunResult:
     """Model-dispatching runner.
 
     For synchronous solutions ``adversary`` is a crash-time mapping; for
     sequential ones it is an action schedule.
     """
     if sol.model == SYN:
-        return run_syn(inst, sol, dict(adversary), max_steps=max_steps)
+        return run_syn(inst, sol, dict(adversary))
     if sol.model == SEQ:
         return run_seq(inst, sol, list(adversary))
     raise ValueError(f"unknown model {sol.model!r}")

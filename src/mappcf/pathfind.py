@@ -13,11 +13,13 @@ a step stays on a shortest path exactly when it lowers the distance to
 the goal by one. ``find_path_seq_cuts`` returns that path together with
 its cut set, the vertices every such shortest path must visit, and
 ``must_visit`` scans a path for the vertices every route at all must visit.
+
+Both shortest-path searches settle their tie-breaks in one backward pass
+over their layers, which keeps each vertex's best step; the path then
+follows those steps from the start.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import Graph, Path, bfs_distances
 
@@ -85,29 +87,16 @@ class Reservations:
         return self._last.get(v, 0) < t
 
 
-@dataclass(frozen=True)
-class SynConstraints:
-    """Search constraints for the synchronous space-time search.
-
-    ``blocked``: vertices unusable at every time (crash sites, others'
-    goals). ``reservations``: timed occupancies to stay collision-free
-    against. ``penalty``: vertices whose entry is discouraged (used to steer
-    initial paths apart); entering one costs a tie-break point, waiting on
-    it does not cost again.
-    """
-
-    blocked: frozenset = frozenset()
-    reservations: "Reservations | None" = None
-    penalty: frozenset = frozenset()
-
-
 def find_path_syn(
     graph: Graph,
     start: int,
     goal: int,
-    constraints: "SynConstraints | None" = None,
     start_time: int = 1,
     f: int = 0,
+    *,
+    blocked: frozenset = frozenset(),
+    reservations: "Reservations | None" = None,
+    penalty: frozenset = frozenset(),
 ):
     """Shortest reservation-respecting timed path from start to goal.
 
@@ -116,7 +105,10 @@ def find_path_syn(
     forever from the arrival time on (the agent sits there once arrived).
     Ties broken by (fewest penalized entries, lexicographically smallest
     vertex sequence). Returns a tuple, or None if no path exists within the
-    search horizon ``|V| + latest reservation time + f*|V|``.
+    search horizon ``|V| + latest reservation time + f*|V|``. ``blocked``
+    vertices are unusable at every time; ``reservations`` holds the timed
+    paths to stay collision-free against; entering a ``penalty`` vertex
+    costs a tie-break point, waiting on it does not cost again.
 
     Phase 1 grows the layer of vertices reachable at each time, one set
     expression per step, until the goal is acceptable. It gives up early,
@@ -134,12 +126,11 @@ def find_path_syn(
 
     Phase 2 counts, backward over the layers, the fewest penalized entries
     on a completion from each vertex, visiting only the vertices that can
-    still step into the next layer's completions. Phase 3 walks forward,
-    taking the smallest vertex that keeps that count.
+    still step into the next layer's completions, and keeps for each the
+    smallest vertex it can step to with that count. Phase 3 follows those
+    steps from the start.
     """
-    cons = constraints if constraints is not None else SynConstraints()
-    res = cons.reservations if cons.reservations is not None else Reservations()
-    blocked = cons.blocked
+    res = reservations if reservations is not None else Reservations()
     if start in blocked or res.blocked_at(start, start_time):
         return None
     horizon = graph.n + res.max_time + f * graph.n
@@ -184,50 +175,32 @@ def find_path_syn(
         k += 1
     arrival_k = k
 
-    # Phase 2: backward DP over the layers, minimizing penalized entries.
-    # dp[k][v] = fewest penalized entries on a completion from (v, k).
-    penalty = cons.penalty
-    dp: list[dict[int, int]] = [dict() for _ in range(arrival_k + 1)]
-    dp[arrival_k][goal] = 0
+    # Phase 2: cost[k][v] = fewest penalized entries on a completion from
+    # (v, k); step[k][v] = the smallest vertex a step keeping it goes to.
+    cost: list[dict[int, int]] = [dict() for _ in range(arrival_k + 1)]
+    step: list[dict[int, int]] = [dict() for _ in range(arrival_k)]
+    cost[arrival_k][goal] = 0
     for kk in range(arrival_k - 1, -1, -1):
         hops = moves.get(start_time + kk, ())
-        nxt_dp = dp[kk + 1]
-        near = set(nxt_dp).union(*[pred[w] for w in nxt_dp])
+        nxt_cost = cost[kk + 1]
+        near = set(nxt_cost).union(*[pred[w] for w in nxt_cost])
         for u in layers[kk] & near:
-            best = None
+            best = to = None
             for w in (u, *adj[u]):
-                if w not in nxt_dp:
+                if w not in nxt_cost or (w != u and (w, u) in hops):
                     continue
-                if w != u and (w, u) in hops:
-                    continue
-                c = nxt_dp[w] + (1 if (w != u and w in penalty) else 0)
-                if best is None or c < best:
-                    best = c
+                c = nxt_cost[w] + (1 if (w != u and w in penalty) else 0)
+                if best is None or c < best or (c == best and w < to):
+                    best, to = c, w
             if best is not None:
-                dp[kk][u] = best
-    if start not in dp[0]:
+                cost[kk][u], step[kk][u] = best, to
+    if start not in cost[0]:
         return None
 
-    # Phase 3: forward walk picking the smallest vertex that stays optimal.
+    # Phase 3: follow the chosen steps from the start.
     out = [start]
-    v = start
     for kk in range(arrival_k):
-        hops = moves.get(start_time + kk, ())
-        nxt_dp = dp[kk + 1]
-        want = dp[kk][v]
-        chosen = None
-        for w in sorted((v, *adj[v])):
-            if w not in nxt_dp:
-                continue
-            if w != v and (w, v) in hops:
-                continue
-            c = nxt_dp[w] + (1 if (w != v and w in penalty) else 0)
-            if c == want:
-                chosen = w
-                break
-        assert chosen is not None, "backward DP admitted a dead forward state"
-        out.append(chosen)
-        v = chosen
+        out.append(step[kk][out[-1]])
     return tuple(out)
 
 
@@ -265,8 +238,9 @@ def find_path_seq_cuts(
     step stays on a shortest path exactly when it lowers that distance by
     one, so no distances from the start are needed: the shortest paths are
     layered out from the start, a backward pass over the layers counts the
-    fewest penalized entries still ahead, and the walk takes the smallest
-    step that keeps it.
+    fewest penalized entries still ahead and keeps the first step (in
+    adjacency order, which is ascending) that attains it, and the path
+    follows the kept steps.
 
     ``cuts`` holds the vertices that are alone in their layer, the start
     and the goal included (the goal is a layer of its own). Every shortest
@@ -289,8 +263,10 @@ def find_path_seq_cuts(
     for d in range(dist[start] - 1, 0, -1):
         layers.append({w for v in layers[-1] for w in adj[v] if dist[w] == d})
     cuts = frozenset([goal] + [v for layer in layers if len(layer) == 1 for v in layer])
-    # fewest penalized vertices entered from here to the goal
+    # fewest penalized vertices entered from here to the goal, and the
+    # smallest next vertex that keeps that count
     pen = {goal: 0}
+    step: dict[int, int] = {}
     for layer in reversed(layers):
         for v in layer:
             down = dist[v] - 1
@@ -299,17 +275,11 @@ def find_path_seq_cuts(
                 if dist[w] == down:
                     p = pen[w] + (1 if w in penalty else 0)
                     if best is None or p < best:
-                        best = p
+                        best, step[v] = p, w
             pen[v] = best
     out = [start]
-    v = start
-    while v != goal:
-        down = dist[v] - 1
-        for w in adj[v]:
-            if dist[w] == down and pen[w] + (1 if w in penalty else 0) == pen[v]:
-                break
-        out.append(w)
-        v = w
+    while out[-1] != goal:
+        out.append(step[out[-1]])
     return tuple(out), cuts
 
 

@@ -83,6 +83,33 @@ class TestSolveVerifyFlow:
         assert "--priority" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "0"), ("--seed", "7"),
+                                             ("--refine", "on"), ("--refine", "off")])
+    def test_dcrf_flag_with_disjoint_is_an_error(self, tmp_path, capsys, flag, value):
+        inst = gen_fixture(tmp_path, "fig8")
+        capsys.readouterr()
+        code = run_cli("solve", "--instance", str(inst), "--algo", "disjoint", flag, value)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} ")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("*.solution.json"))
+
+    def test_dcrf_flags_default_to_seed_0_and_refine_on(self, tmp_path, monkeypatch):
+        inst = gen_fixture(tmp_path, "fig6")
+        seen = []
+        real = dcrf.solve
+
+        def spy(inst, cfg):
+            seen.append((cfg.seed, cfg.refine))
+            return real(inst, cfg)
+
+        monkeypatch.setattr(dcrf, "solve", spy)
+        assert run_cli("solve", "--instance", str(inst)) == 0
+        assert run_cli("solve", "--instance", str(inst), "--seed", "5", "--refine", "off") == 0
+        assert run_cli("solve", "--instance", str(inst), "--algo", "disjoint") == 2  # infeasible
+        assert seen == [(0, True), (5, False)]
+
     def test_verify_reference_seq_solution(self, tmp_path):
         inst = gen_fixture(tmp_path, "fig1")
         ref = tmp_path / "fig1.instance.ref-seq-afd.json"

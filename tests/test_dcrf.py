@@ -1,6 +1,7 @@
 """Decoupled crash-resolution solver: events, backups, failure modes."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from mappcf.dcrf import (
 )
 from mappcf.fileio import parse_map
 from mappcf.gen import fixture, gen_well_formed, grid_graph, random_grid_map
-from mappcf.pathfind import Reservations, SynConstraints, find_path_syn
+from mappcf.pathfind import Reservations, find_path_syn
 from mappcf.verify import verify, verify_syn
 
 
@@ -297,6 +298,22 @@ class TestDeterminismAndSoundness:
         assert solved >= 20  # the sweep is not vacuous
 
 
+def pinned_grid(data_dir):
+    """The 224 syn solves of ``test_syn_outputs_are_pinned``, in its order:
+    ``((map name, n, f, seed), instance, detector)``."""
+    maps = {
+        "grid-8-8-s0": parse_map(random_grid_map(8, 8, seed=0)),
+        "random-16-16-10": parse_map((data_dir / "random-16-16-10.map").read_text()),
+    }
+    for name, g in maps.items():
+        for n in range(2, 9):
+            for f in (1, 2):
+                for seed in range(4):
+                    inst = gen_well_formed(g, n, f, seed)
+                    for fd in (NFD, AFD):
+                        yield (name, n, f, seed), inst, fd
+
+
 class TestSearchMemo:
     """Every attempt of one syn solve shares a memo of its space-time
     searches; the outputs must stay those of unmemoized searching."""
@@ -328,27 +345,17 @@ class TestSearchMemo:
             for p, e in timed:
                 res.add_path(p, e)
             penalty = frozenset(v for p, _e in timed for v in p) if penalize else frozenset()
-            cons = SynConstraints(blocked=blocked, reservations=res, penalty=penalty)
-            assert got == find_path_syn(g, start, inst.goals[a], cons, t0, inst.f)
+            assert got == find_path_syn(g, start, inst.goals[a], t0, inst.f, blocked=blocked,
+                                        reservations=res, penalty=penalty)
             outcomes.add(got)
         assert len(planner.memo.found) < 1500 and len(outcomes) > 10 and None in outcomes
 
     def test_syn_outputs_are_pinned(self, data_dir):
         # digest computed with a search per call, before the memo existed
-        maps = {
-            "grid-8-8-s0": parse_map(random_grid_map(8, 8, seed=0)),
-            "random-16-16-10": parse_map((data_dir / "random-16-16-10.map").read_text()),
-        }
         rows = []
-        for name, g in maps.items():
-            for n in range(2, 9):
-                for f in (1, 2):
-                    for seed in range(4):
-                        inst = gen_well_formed(g, n, f, seed)
-                        for fd in (NFD, AFD):
-                            r = solve(inst, SolverConfig(model=SYN, fd=fd, deadline=None))
-                            rows.append((name, n, f, seed, fd, r.status, r.solution,
-                                         r.events, r.initial_paths, r.attempts))
+        for key, inst, fd in pinned_grid(data_dir):
+            r = solve(inst, SolverConfig(model=SYN, fd=fd, deadline=None))
+            rows.append((*key, fd, r.status, r.solution, r.events, r.initial_paths, r.attempts))
         assert len(rows) == 224
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "f564263888ace002921ce3f74b4368e18d3b022aefb2f573ff54ba4aa0bcef18"
@@ -367,3 +374,49 @@ class TestSearchMemo:
         r = solve(inst, SolverConfig(model=SYN, fd=NFD, deadline=None))
         assert (r.status, r.attempts) == ("no_backup", 11)
         assert len(calls) == 188  # 810 with one search per call
+
+
+def scratch_alts(planner, a, p):
+    """Crash alternatives of a's path p from scratch: one candidate from
+    each rule on the path's parent chain, with no agent crashed twice."""
+    chain = []
+    while planner.parent[a][p] is not None:
+        p, _idx, cands = planner.parent[a][p]
+        chain.append(cands)
+    alts = {frozenset(pick) for pick in itertools.product(*chain)
+            if len({c.agent for c in set(pick)}) == len(set(pick))}
+    return tuple(sorted(alts, key=sorted))
+
+
+class TestBackupAlternatives:
+    """``Planner.alts`` is computed when a path is made and when a widening
+    changes it, never for the widened backup's children: it has none."""
+
+    def test_widenings_hit_childless_backups(self, data_dir, monkeypatch):
+        widened, planners = [], []
+        extend, run_events = Planner._extend_backup, Planner.run_events
+
+        def recording_extend(self, a, target, cands):
+            before = len(self.parent[a][target][2])
+            out = extend(self, a, target, cands)
+            if len(self.parent[a][target][2]) > before:
+                children = [q for q, edge in enumerate(self.parent[a])
+                            if edge is not None and edge[0] == target]
+                widened.append(children)
+            return out
+
+        def recording_run_events(self):
+            planners.append(self)
+            return run_events(self)
+
+        monkeypatch.setattr(Planner, "_extend_backup", recording_extend)
+        monkeypatch.setattr(Planner, "run_events", recording_run_events)
+        for _key, inst, fd in pinned_grid(data_dir):
+            solve(inst, SolverConfig(model=SYN, fd=fd, deadline=None))
+            for planner in planners:
+                for a in inst.agents():
+                    for p in range(len(planner.paths[a])):
+                        assert planner.alts[a][p] == scratch_alts(planner, a, p)
+            planners.clear()
+        assert len(widened) >= 600
+        assert not any(widened)

@@ -8,7 +8,6 @@ from mappcf.core import Graph
 from mappcf.gen import grid_graph
 from mappcf.pathfind import (
     Reservations,
-    SynConstraints,
     find_path_seq,
     find_path_seq_cuts,
     find_path_syn,
@@ -274,30 +273,30 @@ class TestFindPathSyn:
         g = Graph.build(4, [(0, 1), (1, 2), (1, 3)])
         res = Reservations()
         res.add_path((3, 1, 1, 1, 3), start_time=1)
-        p = find_path_syn(g, 0, 2, SynConstraints(reservations=res))
+        p = find_path_syn(g, 0, 2, reservations=res)
         assert p == (0, 0, 0, 0, 1, 2)
 
     def test_swap_is_fatal_not_crossable(self):
         g = Graph.build(2, [(0, 1)])
         res = Reservations()
         res.add_path((1, 0), start_time=1)
-        assert find_path_syn(g, 0, 1, SynConstraints(reservations=res)) is None
+        assert find_path_syn(g, 0, 1, reservations=res) is None
 
     def test_goal_must_be_free_forever(self):
         g = Graph.build(3, [(0, 1), (1, 2)])
         res = Reservations()
         res.add_path((2,), start_time=1)  # someone parked on our goal
-        assert find_path_syn(g, 0, 2, SynConstraints(reservations=res)) is None
+        assert find_path_syn(g, 0, 2, reservations=res) is None
 
     def test_blocked_vertices(self):
         g = grid_graph(3, 3)
-        p = find_path_syn(g, 0, 8, SynConstraints(blocked=frozenset({1, 5})))
+        p = find_path_syn(g, 0, 8, blocked=frozenset({1, 5}))
         assert p == (0, 3, 4, 7, 8)
-        assert find_path_syn(g, 0, 8, SynConstraints(blocked=frozenset({0}))) is None
+        assert find_path_syn(g, 0, 8, blocked=frozenset({0})) is None
 
     def test_penalty_tiebreak(self):
         g = grid_graph(3, 3)
-        p = find_path_syn(g, 0, 8, SynConstraints(penalty=frozenset({1, 2})))
+        p = find_path_syn(g, 0, 8, penalty=frozenset({1, 2}))
         assert p == (0, 3, 4, 5, 8)
 
     def test_start_beyond_horizon(self):
@@ -309,9 +308,9 @@ class TestFindPathSyn:
         g = Graph.build(4, [(0, 1), (1, 2), (1, 3)])
         res = Reservations()
         res.add_path((3, 1, 3), start_time=1)
-        late = find_path_syn(g, 0, 2, SynConstraints(reservations=res), start_time=3)
+        late = find_path_syn(g, 0, 2, reservations=res, start_time=3)
         assert late == (0, 1, 2)
-        early = find_path_syn(g, 0, 2, SynConstraints(reservations=res), start_time=1)
+        early = find_path_syn(g, 0, 2, reservations=res, start_time=1)
         assert early == (0, 0, 1, 2)
 
     def test_matches_space_time_oracle(self):
@@ -334,9 +333,10 @@ class TestFindPathSyn:
             res = Reservations()
             for path, t0 in reserved:
                 res.add_path(path, t0)
-            cons = SynConstraints(blocked=blocked, reservations=res, penalty=penalty)
             want = best_timed_walk(g, s, t, reserved, blocked, penalty, start_time, f)
-            assert find_path_syn(g, s, t, cons, start_time, f) == want, case
+            got = find_path_syn(g, s, t, start_time, f, blocked=blocked, reservations=res,
+                                penalty=penalty)
+            assert got == want, case
             found += want is not None
         assert 250 < found < 950  # both verdicts well represented
 
@@ -347,7 +347,7 @@ class TestFindPathSyn:
         g = Graph.build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
         res = Reservations()
         res.add_path((5,) + (2,) * 12 + (5,), start_time=1)
-        p = find_path_syn(g, 0, 4, SynConstraints(reservations=res))
+        p = find_path_syn(g, 0, 4, reservations=res)
         assert p == (0,) * 12 + (1, 2, 3, 4)
 
     def test_walled_off_goal_with_late_reservations(self):
@@ -355,6 +355,6 @@ class TestFindPathSyn:
         res = Reservations()
         res.add_path((0,) + (1,) * 29 + (2,), start_time=5)
         assert res.max_time == 35
-        cons = SynConstraints(blocked=frozenset({4}), reservations=res)
-        assert find_path_syn(g, 6, 3, cons) is None
-        assert find_path_syn(g, 6, 3, cons, start_time=2, f=1) is None
+        cons = dict(blocked=frozenset({4}), reservations=res)
+        assert find_path_syn(g, 6, 3, **cons) is None
+        assert find_path_syn(g, 6, 3, start_time=2, f=1, **cons) is None
