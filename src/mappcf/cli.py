@@ -122,7 +122,10 @@ def _parse_crash_args(specs) -> dict:
         agent, sep, when = item.partition("@")
         if not sep or not agent.strip().isdigit() or not when.strip().isdigit():
             raise ValueError(f"--crash wants 'agent@round', got {item!r}")
-        crash_times[int(agent)] = int(when)
+        a = int(agent)
+        if a in crash_times:
+            raise ValueError(f"--crash names agent {a} twice; an agent crashes once")
+        crash_times[a] = int(when)
     return crash_times
 
 

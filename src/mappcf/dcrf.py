@@ -461,34 +461,33 @@ class Planner:
             return crashed(cands[0].agent)
         return CRASHED_ANON
 
-    def find_backup_path(self, ev: Event, chain_base: "int | None" = None,
+    def find_backup_path(self, ev: Event, base: int, alts,
                          extra_blocked: frozenset = frozenset()):
         """Plan the detour for one event; returns the new path or None.
 
         Branches at the vertex one step before the blocked one, avoids every
         crash vertex assumed along the chain (plus the event's own), and
         must be collision-free against every path of other agents whose
-        assumptions can coexist with the extended chain. ``chain_base``
-        overrides which path's ancestry defines that chain (used when the
-        dodge is parked at the parent slot and becomes a sibling instead of
-        a child of the blocked path).
+        assumptions can coexist with the extended chain. ``base`` is the
+        path whose ancestry defines that chain: the blocked path, or its
+        parent when the dodge is parked at the parent slot and becomes a
+        sibling instead of a child. ``alts`` are the new path's crash
+        alternatives, ``_probe_alts(a, base, cands)``.
         """
         a = ev.effect.agent
         p = ev.effect.path
         c = ev.effect.at_index
         cands = ev.candidates()
-        base = p if chain_base is None else chain_base
         parent_path = self.paths[a][p]
         branch_v = parent_path[c - 2]
         blocked = self._chain_blocked(a, base) | {cr.vertex for cr in cands}
         blocked |= extra_blocked
-        probe = self._probe_alts(a, base, cands)
         t_branch = self.entry[a][p] + c - 2
         timed = [
             (self.paths[b][pb], self.entry[b][pb])
             for b in self.inst.agents() if b != a
             for pb in range(len(self.paths[b]))
-            if self._compatible(probe, a, b, pb)
+            if self._compatible(alts, a, b, pb)
         ]
         return self._search(a, branch_v, t_branch, frozenset(blocked), timed)
 
@@ -538,18 +537,17 @@ class Planner:
         self.resolved.append(ev)
         if existing is not None:
             return self._extend_backup(a, existing, cands)
+        alts = self._probe_alts(a, slot_path, cands)
+        extra = frozenset()
         if redirect:
             extra = frozenset(self._slot_blocked(a, slot_path, slot_idx, cands))
-            new_path = self.find_backup_path(ev, chain_base=slot_path,
-                                             extra_blocked=extra)
-        else:
-            new_path = self.find_backup_path(ev)
+        new_path = self.find_backup_path(ev, slot_path, alts, extra)
         if new_path is None:
             return "no_backup"
         np = len(self.paths[a])
         self.paths[a].append(new_path)
         self.parent[a].append((slot_path, slot_idx + 1, list(cands)))
-        self.alts[a].append(self._probe_alts(a, slot_path, cands))
+        self.alts[a].append(alts)
         self.entry[a].append(self.entry[a][p] + c - 2)
         rule = TransitionRule(slot_path, slot_idx, watch, trigger, np)
         if redirect:

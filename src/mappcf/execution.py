@@ -202,7 +202,8 @@ class RunResult:
         return self.outcome == "arrived"
 
 
-def _settled(states) -> bool:
+def settled(states) -> bool:
+    """No agent is still correct: everyone is done or crashed."""
     return all(st.status != CORRECT_ST for st in states)
 
 
@@ -213,7 +214,14 @@ def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> Run
     the crash happens at the start of that round, before rules and moves).
     Ends when every agent is done or crashed, on a collision, or when the
     configuration stops changing / repeats with no crashes left to apply.
+    Raises ``ValueError`` for an agent that does not exist or a round
+    before the first.
     """
+    for a, t in crash_times.items():
+        if not 0 <= a < inst.n_agents:
+            raise ValueError(f"crash names agent {a}, but agents are 0..{inst.n_agents - 1}")
+        if t < 1:
+            raise ValueError(f"agent {a} crashes in round {t}, but rounds start at 1")
     trace = Trace()
     states = init_states(inst, sol)
     trace.begin("t=0")
@@ -221,7 +229,7 @@ def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> Run
     seen = {states: 0}
     t = 0
     while True:
-        if _settled(states):
+        if settled(states):
             return RunResult("arrived", t, states, trace)
         t += 1
         trace.begin(f"t={t}")
@@ -294,7 +302,8 @@ def run_seq(inst: Instance, sol: Solution, schedule) -> RunResult:
 
     ``schedule`` is a sequence of ("activate", agent) / ("crash", agent)
     actions. The outcome is "arrived" if afterwards every non-crashed agent
-    is done, else "stuck" with the leftover correct agents.
+    is done, else "stuck" with the leftover correct agents. Raises
+    ``ValueError`` for an action on an agent that does not exist.
     """
     trace = Trace()
     states = init_states(inst, sol)
@@ -303,6 +312,9 @@ def run_seq(inst: Instance, sol: Solution, schedule) -> RunResult:
     crashes = 0
     for i, (op, a) in enumerate(schedule, start=1):
         trace.begin(f"#{i}")
+        if not 0 <= a < inst.n_agents:
+            raise ValueError(
+                f"schedule action #{i} names agent {a}, but agents are 0..{inst.n_agents - 1}")
         if op == "activate":
             states = activate_seq(inst, sol, states, a, trace)
         elif op == "crash":

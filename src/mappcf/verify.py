@@ -9,6 +9,28 @@ configuration from which some correct agent can never finish, and a fair
 livelock (a reachable crash-free cycle that activates every unfinished
 correct agent yet never finishes one of them).
 
+Both models use one explorer, ``_state_graph``. It builds, breadth-first,
+the graph whose states are (configuration, remaining crash budget) pairs
+and whose edges are adversary steps: a round with its crash set in the
+synchronous model, one activation or one crash in the sequential model.
+Each model only says which steps leave a state.
+
+* Synchronous: settled states (no correct agent left) stay out of the
+  graph. A colliding step refutes the plan the moment the build meets it.
+  Otherwise a cycle refutes it as stuck: crashes spend budget, so a cycle
+  takes crash-free steps only, and each state has at most one of those.
+* Sequential: the finished graph, settled states included, is searched
+  for a configuration from which some correct agent can never finish and
+  for a fair livelock.
+
+``states_explored`` counts the states of the graph: for the synchronous
+model the distinct unsettled (configuration, budget) pairs, for the
+sequential model every reachable pair. On a verified plan that is the
+whole reachable graph; on a refuted synchronous plan the build stops at
+the witness, so the count covers only what was built by then. A witness
+prefix is a shortest walk in its group's graph, so a synchronous collision
+comes with the fewest rounds that reach one.
+
 Both verifiers explore each group of interacting agents on its own. Let
 V(a) be the vertices on all of agent a's paths and W(a) the vertices its
 rules watch. Correct, crashed and done agents all stand on a vertex of V,
@@ -51,7 +73,6 @@ instance's agent numbering that replays through the execution module.
 from __future__ import annotations
 
 import itertools
-import sys
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -63,6 +84,7 @@ from .execution import (
     activate_seq,
     crash_seq,
     init_states,
+    settled,
     step_syn,
 )
 
@@ -74,9 +96,11 @@ class Counterexample:
     """A concrete adversary strategy that breaks the plan.
 
     For the synchronous model ``crash_times`` feeds straight into
-    ``execution.run``. For the sequential model ``schedule`` is the action
-    prefix; for livelocks ``cycle`` is a closed action sequence that can be
-    repeated forever under fair scheduling.
+    ``execution.run``: it follows a shortest walk through the state graph
+    to a colliding round, or to a configuration that repeats forever once
+    nobody else crashes. For the sequential model ``schedule`` is a
+    shortest action prefix; for livelocks ``cycle`` is a closed action
+    sequence that can be repeated forever under fair scheduling.
     """
 
     kind: str  # "collision" | "stuck" | "unreachable_goal" | "livelock"
@@ -253,79 +277,116 @@ def _verify_split(inst, sol, model, f, state_cap, explore) -> VerifyResult:
     return VerifyResult("verified", model, budget, states_explored=total)
 
 
+def _state_graph(init, moves, state_cap: int):
+    """The states reachable from ``init``, built breadth-first.
+
+    ``moves(state)`` yields (action, next state, fault) for each step out
+    of ``state``, with fault None for a harmless step. States are numbered
+    in discovery order, so a lower number is never farther from ``init``,
+    and ``edges[i]`` lists (dest, action) in the order ``moves`` yields
+    them. Returns (states, edges, fault step): the build stops at the first
+    faulty step and returns it as (source, action, fault), else None. More
+    than ``state_cap`` states raise ``_TooLarge``.
+    """
+    index = {init: 0}
+    states = [init]
+    edges: list[list] = [[]]
+    # states found during the scan are appended to the list being scanned,
+    # so the list is the queue
+    for si, state in enumerate(states):
+        out = edges[si]
+        for action, nxt, fault in moves(state):
+            if fault is not None:
+                return states, edges, (si, action, fault)
+            di = index.get(nxt)
+            if di is None:
+                di = index[nxt] = len(states)
+                states.append(nxt)
+                edges.append([])
+                if len(states) > state_cap:
+                    raise _TooLarge(len(states))
+            out.append((di, action))
+    return states, edges, None
+
+
+def _walk(edges, src: int, dst: int) -> list:
+    """Actions along a shortest walk from ``src`` to ``dst`` over ``edges``.
+
+    Breadth-first with parents, in edge order: from state 0 of a
+    ``_state_graph`` it retraces the steps that discovered ``dst``.
+    """
+    parent = {src: None}
+    q = deque([src])
+    while dst not in parent:
+        si = q.popleft()
+        for di, action in edges[si]:
+            if di not in parent:
+                parent[di] = (si, action)
+                q.append(di)
+    out = []
+    while parent[dst] is not None:
+        dst, action = parent[dst]
+        out.append(action)
+    out.reverse()
+    return out
+
+
 def verify_syn(
     inst: Instance, sol: Solution, f: "int | None" = None, state_cap: int = DEFAULT_STATE_CAP
 ) -> VerifyResult:
     """Exhaustively check a synchronous solution against every crash pattern.
 
-    Explores each interaction group's (configuration, remaining budget)
-    pairs depth-first. A repeat of a configuration at equal budget along
-    the current chain means the adversary needs no further crashes to loop
-    forever: the plan is stuck.
+    Builds each interaction group's state graph: one state per unsettled
+    (configuration, remaining budget) pair, one step per round and crash
+    set. A colliding step refutes the plan as soon as the build meets it.
+    Otherwise the plan is stuck if the graph has a cycle: crashes spend
+    budget, so a cycle takes crash-free steps only, and the adversary can
+    keep the run on it forever without crashing anyone else.
     """
     return _verify_split(inst, sol, SYN, f, state_cap, _explore_syn)
 
 
 def _explore_syn(inst: Instance, sol: Solution, budget0: int, state_cap: int):
     init = init_states(inst, sol)
-    memo: set = set()
-    on_stack: set = set()
-    choices: list = []  # (round, crash set) along the current chain
+    if settled(init):
+        return 0, None
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 200_000))
+    def moves(state):
+        # settled states end the run, so they stay out of the graph; the
+        # crash-free step comes first, as it is the empty crash set
+        cfg, budget = state
+        for crash_set in _crash_subsets(cfg, budget):
+            nxt, coll = step_syn(inst, sol, cfg, crash_set)
+            if coll is not None or not settled(nxt):
+                yield crash_set, (nxt, budget - len(crash_set)), coll
 
-    def pattern() -> dict:
-        out = {}
-        for t, crash_set in choices:
-            for a in crash_set:
-                out[a] = t
-        return out
-
-    def search(states, budget, t) -> "Counterexample | None":
-        if all(st.status != CORRECT_ST for st in states):
-            return None
-        key = (states, budget)
-        if key in memo:
-            return None
-        if key in on_stack:
-            stuck = tuple(a for a, st in enumerate(states) if st.status == CORRECT_ST)
-            return Counterexample(
-                "stuck",
-                agents=stuck,
-                crash_times=pattern(),
-                detail=f"configuration repeats at round {t} with no crashes left to spend",
-            )
-        if len(memo) > state_cap:
-            raise _TooLarge(len(memo))
-        on_stack.add(key)
-        try:
-            for crash_set in _crash_subsets(states, budget):
-                nxt, coll = step_syn(inst, sol, states, crash_set)
-                choices.append((t, crash_set))
-                try:
-                    if coll is not None:
-                        return Counterexample(
-                            "collision",
-                            agents=coll.agents,
-                            crash_times=pattern(),
-                            detail=f"{coll.kind} collision at {coll.where} in round {t}",
-                        )
-                    ce = search(nxt, budget - len(crash_set), t + 1)
-                    if ce is not None:
-                        return ce
-                finally:
-                    choices.pop()
-        finally:
-            on_stack.discard(key)
-        memo.add(key)
-        return None
-
-    try:
-        ce = search(init, budget0, 1)
-    finally:
-        sys.setrecursionlimit(limit)
-    return len(memo), ce
+    states, edges, fault = _state_graph((init, budget0), moves, state_cap)
+    if fault is not None:
+        si, crash_set, coll = fault
+        prefix = _walk(edges, 0, si) + [crash_set]
+        kind, agents = "collision", coll.agents
+        detail = f"{coll.kind} collision at {coll.where} in round {len(prefix)}"
+    else:
+        # a cycle takes crash-free steps only, and a state's crash-free step
+        # is its first edge when it is stored at all; following those steps
+        # from each state in turn, each state walked once, finds any cycle
+        step = [out[0][0] if out and not out[0][1] else None for out in edges]
+        walk_of = [-1] * len(states)
+        for s in range(len(states)):
+            si = s
+            while si is not None and walk_of[si] < 0:
+                walk_of[si] = s
+                si = step[si]
+            if si is not None and walk_of[si] == s:
+                break
+        else:
+            return len(states), None
+        prefix = _walk(edges, 0, si)
+        kind = "stuck"
+        agents = tuple(a for a, st in enumerate(states[si][0]) if st.status == CORRECT_ST)
+        detail = f"the configuration of round {len(prefix)} repeats forever if nobody else crashes"
+    crash_times = {a: t for t, crash_set in enumerate(prefix, 1) for a in crash_set}
+    return len(states), Counterexample(kind, agents=agents, crash_times=crash_times, detail=detail)
 
 
 # --- sequential model ------------------------------------------------------
@@ -336,52 +397,34 @@ def verify_seq(
 ) -> VerifyResult:
     """Exhaustively check a sequential solution against scheduler + crashes.
 
-    Builds each interaction group's reachable transition system
-    (activations and crashes), then looks for (a) a reachable configuration
-    from which some correct agent's goal states are unreachable, and (b) a
-    fair livelock cycle.
+    Builds each interaction group's state graph: one state per reachable
+    (configuration, remaining budget) pair, settled ones included, and one
+    step per activation or crash. Then looks for (a) a reachable
+    configuration from which some correct agent's goal states are
+    unreachable, and (b) a fair livelock cycle.
     """
     return _verify_split(inst, sol, SEQ, f, state_cap, _explore_seq)
 
 
 def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
-    init = (init_states(inst, sol), budget0)
-    index = {init: 0}
-    states = [init]
-    edges: list[list[tuple[int, str, int]]] = [[]]  # (dest, op, agent)
+    activate = [("activate", a) for a in inst.agents()]
+    crash = [("crash", a) for a in inst.agents()]
 
-    def insert(nxt) -> int:
-        """Index of state ``nxt``, appended (and so queued) if new."""
-        di = index.get(nxt)
-        if di is None:
-            di = len(states)
-            index[nxt] = di
-            states.append(nxt)
-            edges.append([])
-            if len(states) > state_cap:
-                raise _TooLarge(len(states))
-        return di
-
-    # breadth-first: states are numbered in discovery order, so scanning
-    # them by index is the queue
-    si = 0
-    while si < len(states):
-        cfg, budget = states[si]
+    def moves(state):
+        cfg, budget = state
         for a, st in enumerate(cfg):
             if st.status == CORRECT_ST:
-                di = insert((activate_seq(inst, sol, cfg, a), budget))
-                edges[si].append((di, "activate", a))
+                yield activate[a], (activate_seq(inst, sol, cfg, a), budget), None
             if st.status != CRASHED_ST and budget > 0:
-                di = insert((crash_seq(inst, sol, cfg, a), budget - 1))
-                edges[si].append((di, "crash", a))
-        si += 1
+                yield crash[a], (crash_seq(inst, sol, cfg, a), budget - 1), None
 
+    states, edges, _ = _state_graph((init_states(inst, sol), budget0), moves, state_cap)
     n_states = len(states)
 
     # (a) an unfinished correct agent that can never finish again
     rev: list[list[int]] = [[] for _ in range(n_states)]
     for si, outs in enumerate(edges):
-        for di, _, _ in outs:
+        for di, _ in outs:
             rev[di].append(si)
     for x in inst.agents():
         good = [si for si, (cfg, _) in enumerate(states) if cfg[x].status == DONE_ST]
@@ -401,35 +444,13 @@ def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
                 return n_states, Counterexample(
                     "unreachable_goal",
                     agents=(x,),
-                    schedule=_actions_to(states, edges, si),
+                    schedule=_walk(edges, 0, si),
                     detail="the agent can never finish after this prefix",
                 )
 
     # (b) fair livelock: a crash-free cycle activating every unfinished
     # correct agent without finishing anyone
-    return n_states, _fair_livelock(inst, states, edges)
-
-
-def _actions_to(states, edges, target: int) -> list:
-    """Shortest action prefix from the initial state to ``target`` (BFS order)."""
-    parent: dict[int, tuple[int, str, int]] = {0: (-1, "", -1)}
-    q = deque([0])
-    while q:
-        si = q.popleft()
-        if si == target:
-            break
-        for di, op, a in edges[si]:
-            if di not in parent:
-                parent[di] = (si, op, a)
-                q.append(di)
-    out = []
-    si = target
-    while si != 0:
-        pi, op, a = parent[si]
-        out.append((op, a))
-        si = pi
-    out.reverse()
-    return out
+    return n_states, _fair_livelock(states, edges)
 
 
 def _sccs(n: int, adj: "list[list[int]]") -> list[list[int]]:
@@ -482,40 +503,38 @@ def _sccs(n: int, adj: "list[list[int]]") -> list[list[int]]:
     return out
 
 
-def _fair_livelock(inst: Instance, states, edges) -> "Counterexample | None":
-    n_states = len(states)
-    act_adj: list[list[int]] = [[] for _ in range(n_states)]
-    act_edges: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]  # (dest, agent)
-    for si, outs in enumerate(edges):
-        for di, op, a in outs:
-            if op == "activate":
-                act_adj[si].append(di)
-                act_edges[si].append((di, a))
-
-    for comp in sorted(_sccs(n_states, act_adj), key=min):
+def _fair_livelock(states, edges) -> "Counterexample | None":
+    act_adj = [[di for di, action in outs if action[0] == "activate"] for outs in edges]
+    for comp in sorted(_sccs(len(states), act_adj), key=min):
         comp_set = set(comp)
-        has_internal_edge = any(
-            di in comp_set for si in comp for di, _ in act_edges[si]
-        )
-        if not has_internal_edge:
+        if not any(di in comp_set for si in comp for di in act_adj[si]):
             continue
+        # activations never make a done agent correct again, so the
+        # unfinished correct agents are the same all over the component
         cfg, _budget = states[comp[0]]
         pending = tuple(a for a, st in enumerate(cfg) if st.status == CORRECT_ST)
         if not pending:
             continue
-        covered = {}
+        inner = {si: [(di, action) for di, action in edges[si]
+                      if action[0] == "activate" and di in comp_set] for si in comp}
+        covered = {}  # agent -> an activation of it inside the component
         for si in sorted(comp):
-            for di, a in act_edges[si]:
-                if di in comp_set and a not in covered:
-                    covered[a] = (si, di, a)
-        if not all(a in covered for a in pending):
+            for di, (_, a) in inner[si]:
+                covered.setdefault(a, (si, di))
+        if any(a not in covered for a in pending):
             continue
-        entry = min(comp)
-        cycle = _cover_cycle(entry, comp_set, act_edges, [covered[a] for a in pending])
+        # a closed walk from the entry through one activation of each agent
+        entry = cur = min(comp)
+        cycle = []
+        for a in pending:
+            si, di = covered[a]
+            cycle += _walk(inner, cur, si) + [("activate", a)]
+            cur = di
+        cycle += _walk(inner, cur, entry)
         return Counterexample(
             "livelock",
             agents=pending,
-            schedule=_actions_to(states, edges, entry),
+            schedule=_walk(edges, 0, entry),
             cycle=cycle,
             detail=(
                 "fair scheduling can repeat a crash-free cycle forever; "
@@ -523,41 +542,6 @@ def _fair_livelock(inst: Instance, states, edges) -> "Counterexample | None":
             ),
         )
     return None
-
-
-def _cover_cycle(entry: int, comp: set, act_edges, must_use) -> list:
-    """Closed activate-only walk from ``entry`` using every edge in must_use."""
-    def walk(src: int, dst: int) -> list:
-        if src == dst:
-            return []
-        parent = {src: None}
-        q = deque([src])
-        while q:
-            si = q.popleft()
-            for di, a in act_edges[si]:
-                if di in comp and di not in parent:
-                    parent[di] = (si, a)
-                    if di == dst:
-                        q.clear()
-                        break
-                    q.append(di)
-        out = []
-        cur = dst
-        while parent[cur] is not None:
-            pi, a = parent[cur]
-            out.append(("activate", a))
-            cur = pi
-        out.reverse()
-        return out
-
-    actions: list = []
-    cur = entry
-    for si, di, a in must_use:
-        actions += walk(cur, si)
-        actions.append(("activate", a))
-        cur = di
-    actions += walk(cur, entry)
-    return actions
 
 
 def verify(inst: Instance, sol: Solution, f: "int | None" = None, state_cap: int = DEFAULT_STATE_CAP) -> VerifyResult:

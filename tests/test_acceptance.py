@@ -12,6 +12,8 @@ import random
 import time
 from pathlib import Path
 
+import pytest
+
 from mappcf.core import (
     AFD,
     CORRECT,
@@ -293,6 +295,7 @@ class TestCriteria:
         )
         assert verify_seq(fx.instance, anon).status == "refuted"
 
+    @pytest.mark.slow
     def test_criterion_08_success_trend_on_random_grid(self, data_dir, tmp_path):
         config = json.loads((data_dir / "bench-trend.json").read_text())
         agent_counts = config["n"]

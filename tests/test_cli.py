@@ -185,6 +185,34 @@ class TestSimulate:
         assert code == 3
         assert "outcome=collision" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("crashes, message", [
+        (["0@0"], "rounds start at 1"),
+        (["0@2", "0@1"], "agent 0 twice"),
+        (["5@1"], "names agent 5"),
+    ], ids=["round-0", "agent-twice", "no-agent-5"])
+    def test_bad_crash_is_an_error(self, tmp_path, capsys, crashes, message):
+        inst = gen_fixture(tmp_path, "fig1")
+        ref = tmp_path / "fig1.instance.ref-syn-afd.json"
+        flags = [arg for c in crashes for arg in ("--crash", c)]
+        code = run_cli("simulate", "--instance", str(inst), "--solution", str(ref), *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("agent", ["9", "-1"])
+    def test_schedule_agent_out_of_range_is_an_error(self, tmp_path, capsys, agent):
+        inst = gen_fixture(tmp_path, "fig1")
+        ref = tmp_path / "fig1.instance.ref-seq-afd.json"
+        sched = tmp_path / "sched.txt"
+        sched.write_text(f"activate 0\nactivate {agent}\n")
+        code = run_cli(
+            "simulate", "--instance", str(inst), "--solution", str(ref),
+            "--schedule", str(sched),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"#2 names agent {agent}" in err
+
     def test_crash_spec_syntax_error(self, tmp_path, capsys):
         inst = gen_fixture(tmp_path, "fig1")
         ref = tmp_path / "fig1.instance.ref-syn-afd.json"

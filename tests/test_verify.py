@@ -126,6 +126,31 @@ class TestRefutations:
         rr = run_syn(fx.instance, broken, ce.crash_times)
         assert rr.outcome == "collision"
 
+    @pytest.mark.parametrize("f", [0, 1])
+    def test_syn_dead_end_is_stuck(self, f):
+        # agent 1's only path ends short of its goal, so it waits from the
+        # start on, crash left to spend or not; agent 0 is a group apart
+        fx = fixture("fig1")
+        sol = Solution(SYN, AFD, (Plan(((0, 1, 2),)), Plan(((3,),))))
+        r = verify_syn(fx.instance, sol, f=f)
+        assert r.status == "refuted"
+        ce = r.counterexample
+        assert ce.kind == "stuck" and ce.agents == (1,)
+        assert ce.detail == "the configuration of round 0 repeats forever if nobody else crashes"
+        rr = run_syn(fx.instance, sol, ce.crash_times)
+        assert rr.outcome == "stuck" and rr.stuck_agents == (1,)
+
+    def test_syn_stuck_witness_carries_its_crash(self):
+        # agent 1 dodges onto a dead end when it sees agent 0 crashed on
+        # vertex 0 in round 1, so it is stuck only after that crash
+        fx = fixture("fig1")
+        rule = TransitionRule(from_path=0, at_index=1, watch=0, trigger=CRASHED_ANON, to_path=1)
+        sol = Solution(SYN, AFD, (Plan(((0, 1, 2),)), Plan(((3, 0, 4), (3,)), (rule,))))
+        assert verify_syn(fx.instance, sol, f=0).ok
+        ce = verify_syn(fx.instance, sol, f=1).counterexample
+        assert ce.kind == "stuck" and ce.agents == (1,) and ce.crash_times == {0: 1}
+        assert run_syn(fx.instance, sol, ce.crash_times).outcome == "stuck"
+
     def test_seq_missing_rules_unreachable(self):
         fx = fixture("fig1")
         r = verify_seq(fx.instance, strip_rules(fx.solutions[1], 1), f=1)
