@@ -25,6 +25,9 @@ per solve (``Planner._search``). A restart reruns most of the previous
 attempt's searches, and a search depends only on its agent, start, start
 time, blocked set and the *set* of timed paths it avoids (reservations do
 not depend on the order or repetition of their paths), so a hit is exact.
+A restart that arrives at the primaries of an earlier failed attempt
+reuses that attempt's outcome instead of running the event stage again,
+as the event stage depends on the primaries alone.
 
 Crash assumptions are tracked per path as alternatives (sets of crash
 sets): under the identity-revealing detector each backup usually assumes
@@ -56,7 +59,7 @@ from .core import (
     validate_instance,
     _path_violations,
 )
-from .pathfind import Reservations, find_path_seq, find_path_syn
+from .pathfind import Reservations, find_path_seq, find_path_syn, goal_distances
 
 
 @dataclass(frozen=True, order=True)
@@ -156,11 +159,15 @@ class SearchMemo:
     from, and ``bits`` numbers each distinct pair on first sight. With
     ``penalize`` the penalty set is the vertices of those paths, so it
     needs no place of its own in the key.
+
+    ``to_goal`` keeps each goal's ``goal_distances`` table, the bound every
+    search toward that goal prunes with.
     """
 
     def __init__(self):
         self.bits: dict = {}
         self.found: dict = {}
+        self.to_goal: dict[int, list[int]] = {}
 
 
 class Planner:
@@ -223,8 +230,12 @@ class Planner:
             res.add_path(p, e)
         penalty = frozenset(v for p, _e in timed for v in p) if penalize else frozenset()
         inst = self.inst
-        path = find_path_syn(inst.graph, start, inst.goals[a], t0, inst.f,
-                             blocked=blocked, reservations=res, penalty=penalty)
+        goal = inst.goals[a]
+        to_goal = self.memo.to_goal.get(goal)
+        if to_goal is None:
+            to_goal = self.memo.to_goal[goal] = goal_distances(inst.graph, goal)
+        path = find_path_syn(inst.graph, start, goal, t0, inst.f, blocked=blocked,
+                             reservations=res, penalty=penalty, to_goal=to_goal)
         found[key] = path
         return path
 
@@ -633,6 +644,13 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     The attempts share one :class:`SearchMemo`, so a search that a restart
     repeats with the same input runs once; the result is unchanged, as a
     search is a function of that input.
+
+    A restart whose refined primaries equal those of an earlier failed
+    attempt skips the event stage and fails as that attempt did, with its
+    status and resolved events (it still counts as an attempt). The event
+    stage is a function of the primaries alone: the planner's state after
+    they are installed and refined depends on nothing else, and the memo
+    returns what a fresh search would.
     """
     cfg = config if config is not None else SolverConfig()
     bad = validate_instance(inst)
@@ -658,6 +676,7 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     last = SolveResult(status="init_paths")
     attempts = 0
     memo = SearchMemo()
+    failed: dict = {}  # primaries -> (status, resolved events) of their failed event stage
     for attempt in range(attempts_allowed):
         order = base_order if attempt == 0 else tuple(rng.sample(range(n), n))
         planner = Planner(inst, cfg, deadline_at, memo)
@@ -672,25 +691,24 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
                 if cfg.refine:
                     planner.refine_initial_paths(order)
             initial = tuple(planner.paths[a][0] for a in inst.agents())
-            status = planner.run_events()
+            if initial not in failed:
+                status = planner.run_events()
+                if status == "solved":
+                    return SolveResult(
+                        status="solved",
+                        solution=planner.build_solution(),
+                        events=tuple(planner.resolved),
+                        initial_paths=initial,
+                        attempts=attempts,
+                        runtime=time.monotonic() - t0,
+                    )
+                failed[initial] = (status, tuple(planner.resolved))
         except Timeout:
             return SolveResult(
                 status="timeout", attempts=attempts, runtime=time.monotonic() - t0
             )
-        if status == "solved":
-            return SolveResult(
-                status="solved",
-                solution=planner.build_solution(),
-                events=tuple(planner.resolved),
-                initial_paths=initial,
-                attempts=attempts,
-                runtime=time.monotonic() - t0,
-            )
-        last = SolveResult(
-            status=status,
-            events=tuple(planner.resolved),
-            initial_paths=initial,
-            attempts=attempts,
-        )
+        status, events = failed[initial]
+        last = SolveResult(status=status, events=events, initial_paths=initial,
+                           attempts=attempts)
     last.runtime = time.monotonic() - t0
     return last

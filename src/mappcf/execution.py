@@ -214,8 +214,9 @@ def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> Run
     the crash happens at the start of that round, before rules and moves).
     Ends when every agent is done or crashed, on a collision, or when the
     configuration stops changing / repeats with no crashes left to apply.
-    Raises ``ValueError`` for an agent that does not exist or a round
-    before the first.
+    Crashes beyond the instance's budget ``f`` are applied, with a warning
+    in the trace. Raises ``ValueError`` for an agent that does not exist
+    or a round before the first.
     """
     for a, t in crash_times.items():
         if not 0 <= a < inst.n_agents:
@@ -227,7 +228,7 @@ def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> Run
     trace.begin("t=0")
     trace.config(sol, states)
     seen = {states: 0}
-    t = 0
+    t = crashes = 0
     while True:
         if settled(states):
             return RunResult("arrived", t, states, trace)
@@ -235,6 +236,9 @@ def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> Run
         trace.begin(f"t={t}")
         crash_now = frozenset(a for a, ct in crash_times.items() if ct == t)
         states, coll = step_syn(inst, sol, states, crash_now, trace)
+        crashes += len(crash_now)
+        if crash_now and crashes > inst.f:
+            trace.note(f"warning: crash count {crashes} exceeds budget f={inst.f}")
         trace.config(sol, states)
         if coll is not None:
             trace.note(f"collision {coll.kind} agents={coll.agents} where={coll.where}")

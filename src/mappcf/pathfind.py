@@ -4,9 +4,15 @@ Two searches live here. ``find_path_syn`` plans in space-time against timed
 reservations of other agents (synchronous model): it returns the shortest
 path, breaking ties first by how few penalized vertices it enters and then
 by lexicographically smallest vertex sequence, so planning is reproducible
-bit for bit. When no path exists it stops as soon as the set of reachable
-vertices repeats after the last reservation: from then on every step is
-the same, so the set, and the verdict, would repeat up to the horizon.
+bit for bit. Its layers are bounded by the distance to the goal: a try
+with arrival bound ``B`` keeps a vertex at time ``t`` only if the goal is
+at most ``B - t`` hops away, which drops no vertex of a path arriving by
+``B``, so the answer is that of the unbounded search. The bound starts at
+the earliest conceivable arrival and is widened a few times; the last
+try is unbounded. That try, when no path exists, stops as soon as the
+set of reachable vertices repeats after the last reservation: from then
+on every step is the same, so the set, and the verdict, would repeat up
+to the horizon.
 ``find_path_seq`` finds the shortest simple path avoiding a forbidden
 vertex set, with the same tie-breaks, from a single BFS toward the goal:
 a step stays on a shortest path exactly when it lowers the distance to
@@ -87,6 +93,26 @@ class Reservations:
         return self._last.get(v, 0) < t
 
 
+# Arrival slacks, over the goal distance, of the bounded tries of
+# ``find_path_syn``; one unbounded try follows them.
+SLACKS = (0, 4, 16)
+
+
+def goal_distances(graph: Graph, goal: int, blocked=frozenset(), stop: int = -1) -> list[int]:
+    """Hop distances from every vertex to ``goal`` along edge direction,
+    avoiding ``blocked``; -1 where the goal is out of reach.
+
+    :func:`bfs_distances` on the reversed graph, with its early ``stop``.
+    With nothing blocked, no timed path from ``v`` at time ``t`` reaches
+    the goal before ``t + dist[v]``: the bound :func:`find_path_syn`
+    prunes its layers with. That table depends on the graph and the goal
+    only, so callers may keep one per goal and hand it back in as
+    ``to_goal``.
+    """
+    toward = Graph(n=graph.n, adj=_reverse_adj(graph), directed=graph.directed)
+    return bfs_distances(toward, goal, blocked, stop)
+
+
 def find_path_syn(
     graph: Graph,
     start: int,
@@ -97,6 +123,7 @@ def find_path_syn(
     blocked: frozenset = frozenset(),
     reservations: "Reservations | None" = None,
     penalty: frozenset = frozenset(),
+    to_goal: "list[int] | None" = None,
 ):
     """Shortest reservation-respecting timed path from start to goal.
 
@@ -109,20 +136,44 @@ def find_path_syn(
     vertices are unusable at every time; ``reservations`` holds the timed
     paths to stay collision-free against; entering a ``penalty`` vertex
     costs a tie-break point, waiting on it does not cost again.
+    ``to_goal`` is ``goal_distances(graph, goal)``, computed here when
+    not given.
 
     Phase 1 grows the layer of vertices reachable at each time, one set
-    expression per step, until the goal is acceptable. It gives up early,
-    with the same answer the horizon would give, once ``t > max_time`` and
-    the next layer equals the current one. From then on the step from one
-    layer to the next is the same function at every time: nothing is held
-    by time after ``max_time``, no hop starts at or after it, and every
-    parked vertex is parked for good. Whether the goal is acceptable no
-    longer depends on the time either, since ``free_forever(goal, t)`` only
-    asks whether the goal is parked once ``t`` exceeds every timed hold. So
-    a layer that repeats repeats forever, and the goal is never reached.
-    (Layers only grow then, as waiting keeps every vertex.) The guard on
-    ``max_time`` matters: before it, a layer can stay the same for many
-    rounds while another agent holds a bridge, and then grow.
+    expression per step, until the goal is acceptable. It is bounded by
+    the goal distance (the true-distance heuristic of space-time
+    cooperative A*): a try with bound ``B`` keeps ``v`` at time ``t`` only
+    while ``t + to_goal[v] <= B``, as a path that arrives by ``B`` can
+    pass nowhere else. The first try's bound is the earliest conceivable
+    arrival, ``start_time + to_goal[start]``; a try that fails is redone
+    with the larger slacks of ``SLACKS``. The answer is the unbounded
+    one: every ``(v, k)`` on a path arriving at the true arrival ``T``
+    has ``k + to_goal[v] <= T``, so once a try's bound reaches ``T`` its
+    layers hold every vertex of such a path, it meets the goal at ``T``
+    as the unbounded layers do and not before, and phase 2 below, which
+    only visits vertices of such paths, makes the same choices. A try
+    whose bound reaches the horizon is decisive.
+
+    A goal that is blocked, parked on for good or out of reach of the
+    start is refused up front. A failed bounded try only says that the
+    goal is not reached by its bound, so the last try is unbounded, which
+    can tell that the goal is never reached without walking to the
+    horizon. It gives up, with the answer the horizon would give, once
+    ``t > max_time`` and the next layer equals the current one. From then
+    on the step from one layer to the next is the same function at every
+    time: nothing is held by time after ``max_time``, no hop starts at or
+    after it, and every parked vertex is parked for good. Whether the
+    goal is acceptable no longer depends on the time either, since
+    ``free_forever(goal, t)`` only asks whether the goal is parked once
+    ``t`` exceeds every timed hold. So a layer that repeats repeats
+    forever, and the goal is never reached. (Layers only grow then, as
+    waiting keeps every vertex.) The guard on ``max_time`` matters:
+    before it, a layer can stay the same for many rounds while another
+    agent holds a bridge, and then grow. Bounded layers are not monotone
+    after ``max_time`` (they shrink toward their bound), so the test is
+    made on unbounded layers only. Before the unbounded try, one
+    breadth-first search checks that the goal is reachable at all once
+    ``blocked`` is taken out.
 
     Phase 2 counts, backward over the layers, the fewest penalized entries
     on a completion from each vertex, visiting only the vertices that can
@@ -134,46 +185,26 @@ def find_path_syn(
     if start in blocked or res.blocked_at(start, start_time):
         return None
     horizon = graph.n + res.max_time + f * graph.n
-    if start_time > horizon:
+    if start_time > horizon or goal in blocked or goal in res._forever:
+        return None
+    dist = to_goal if to_goal is not None else goal_distances(graph, goal)
+    if dist[start] < 0:
         return None
     adj = graph.adj
     pred = _reverse_adj(graph)
-    occupied, moves = res._occupied, res._moves
-    # vertices parked for good, released into ``parked`` as time passes
-    parks = sorted((t0, v) for v, t0 in res._forever.items())
-    parked: set[int] = set()
-    next_park = 0
-
-    # Phase 1: forward reachable layers until the goal is reachable at a
-    # time from which it stays unreserved forever.
-    layers: list[set[int]] = [{start}]
-    k = 0
-    while True:
-        t = start_time + k
-        cur = layers[k]
-        if goal in cur and res.free_forever(goal, t) and goal not in blocked:
+    for slack in SLACKS:
+        bound = start_time + dist[start] + slack
+        layers = _grow(adj, pred, start, goal, start_time, res, blocked,
+                       min(bound, horizon), dist)
+        if layers is not None or bound >= horizon:
             break
-        if t >= horizon:
-            return None
-        while next_park < len(parks) and parks[next_park][0] <= t + 1:
-            parked.add(parks[next_park][1])
-            next_park += 1
-        nxt = cur.union(*[adj[u] for u in cur])
-        nxt.difference_update(blocked, parked, occupied.get(t + 1, ()))
-        hops = moves.get(t, ())
-        for p, q in hops:
-            # someone moves p->q, so our q->p is head-on: keep p only if
-            # another vertex of the layer enters it (p is held at t, so no
-            # one of ours waits there)
-            if q in cur and p in nxt and not any(
-                u in cur and (p, u) not in hops for u in pred[p]
-            ):
-                nxt.discard(p)
-        if not nxt or (t > res.max_time and nxt == cur):
-            return None
-        layers.append(nxt)
-        k += 1
-    arrival_k = k
+    else:
+        if goal_distances(graph, goal, blocked, stop=start)[start] >= 0:
+            layers = _grow(adj, pred, start, goal, start_time, res, blocked, horizon, None)
+    if layers is None:
+        return None
+    arrival_k = len(layers) - 1
+    moves = res._moves
 
     # Phase 2: cost[k][v] = fewest penalized entries on a completion from
     # (v, k); step[k][v] = the smallest vertex a step keeping it goes to.
@@ -202,6 +233,52 @@ def find_path_syn(
     for kk in range(arrival_k):
         out.append(step[kk][out[-1]])
     return tuple(out)
+
+
+def _grow(adj, pred, start, goal, start_time, res, blocked, bound, dist):
+    """Phase 1 of :func:`find_path_syn`: the layers from ``start_time`` up
+    to the goal's arrival, or None if it does not arrive by ``bound``.
+
+    With a ``dist`` table the layers keep only the vertices ``v`` that can
+    still make the bound, ``t + dist[v] <= bound``; with None they are
+    complete, and a layer that repeats after ``res.max_time`` ends the
+    search.
+    """
+    occupied, moves = res._occupied, res._moves
+    # vertices parked for good, released into ``parked`` as time passes
+    parks = sorted((t0, v) for v, t0 in res._forever.items())
+    parked: set[int] = set()
+    next_park = 0
+    layers: list[set[int]] = [{start}]
+    t = start_time
+    while True:
+        cur = layers[-1]
+        if goal in cur and res.free_forever(goal, t):
+            return layers
+        if t >= bound:
+            return None
+        while next_park < len(parks) and parks[next_park][0] <= t + 1:
+            parked.add(parks[next_park][1])
+            next_park += 1
+        if dist is None:
+            nxt = cur.union(*[adj[u] for u in cur])
+        else:
+            slack = bound - t - 1
+            nxt = {w for u in cur for w in (u, *adj[u]) if 0 <= dist[w] <= slack}
+        nxt.difference_update(blocked, parked, occupied.get(t + 1, ()))
+        hops = moves.get(t, ())
+        for p, q in hops:
+            # someone moves p->q, so our q->p is head-on: keep p only if
+            # another vertex of the layer enters it (p is held at t, so no
+            # one of ours waits there)
+            if q in cur and p in nxt and not any(
+                u in cur and (p, u) not in hops for u in pred[p]
+            ):
+                nxt.discard(p)
+        if not nxt or (dist is None and t > res.max_time and nxt == cur):
+            return None
+        layers.append(nxt)
+        t += 1
 
 
 def _reverse_adj(graph: Graph) -> tuple[tuple[int, ...], ...]:
@@ -253,8 +330,7 @@ def find_path_seq_cuts(
         return None, frozenset()
     if start == goal:
         return (start,), frozenset((start,))
-    toward = Graph(n=graph.n, adj=_reverse_adj(graph), directed=graph.directed)
-    dist = bfs_distances(toward, goal, frozenset(forbidden), stop=start)
+    dist = goal_distances(graph, goal, frozenset(forbidden), stop=start)
     if dist[start] < 0:
         return None, frozenset()
     # vertices on some shortest path, one layer per step from the start

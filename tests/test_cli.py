@@ -159,6 +159,18 @@ class TestSimulate:
         assert code == 0
         assert "outcome=arrived" in capsys.readouterr().out
 
+    def test_syn_crashes_over_budget_are_noted(self, tmp_path, capsys):
+        inst = gen_fixture(tmp_path, "fig1")  # f = 1
+        ref = tmp_path / "fig1.instance.ref-syn-afd.json"
+        code = run_cli(
+            "simulate", "--instance", str(inst), "--solution", str(ref),
+            "--crash", "0@1", "--crash", "1@1",
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "warning: crash count 2 exceeds budget f=1" in out
+        assert "outcome=arrived" in out
+
     def test_seq_schedule_replay(self, tmp_path, capsys):
         inst = gen_fixture(tmp_path, "fig1")
         ref = tmp_path / "fig1.instance.ref-seq-afd.json"

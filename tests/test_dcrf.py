@@ -376,6 +376,32 @@ class TestSearchMemo:
         assert len(calls) == 188  # 810 with one search per call
 
 
+class TestRepeatedPrimaries:
+    """A restart that refines to the primaries of an earlier failed
+    attempt reuses its outcome instead of running the event stage again."""
+
+    def test_event_stage_runs_once_per_distinct_primaries(self, data_dir, monkeypatch):
+        runs = []
+        run_events = Planner.run_events
+
+        def recording(self):
+            runs.append(tuple(self.paths[a][0] for a in self.inst.agents()))
+            return run_events(self)
+
+        monkeypatch.setattr(Planner, "run_events", recording)
+        g = parse_map((data_dir / "random-16-16-10.map").read_text())
+        inst = gen_well_formed(g, 8, 1, 2)
+        cfg = SolverConfig(model=SYN, fd=NFD, deadline=None)
+        r = solve(inst, cfg)
+        assert (r.status, r.attempts) == ("no_backup", 11)
+        assert len(runs) == len(set(runs)) == 2 and r.initial_paths in runs
+        # the reused outcome is what the event stage gives those primaries
+        planner = Planner(inst, cfg)
+        planner.set_initial_paths(r.initial_paths)
+        assert planner.run_events() == r.status
+        assert tuple(planner.resolved) == r.events
+
+
 def scratch_alts(planner, a, p):
     """Crash alternatives of a's path p from scratch: one candidate from
     each rule on the path's parent chain, with no agent crashed twice."""
@@ -393,6 +419,15 @@ class TestBackupAlternatives:
     changes it, never for the widened backup's children: it has none."""
 
     def test_widenings_hit_childless_backups(self, data_dir, monkeypatch):
+        # a restart that repeats failed primaries runs no event stage, so
+        # the pinned grid alone widens 359 backups; seeds 4-11 of seven
+        # agents on both of its maps add more than 800
+        more = [
+            (gen_well_formed(g, 7, f, seed), fd)
+            for g in (parse_map(random_grid_map(8, 8, seed=0)),
+                      parse_map((data_dir / "random-16-16-10.map").read_text()))
+            for f in (1, 2) for seed in range(4, 12) for fd in (NFD, AFD)
+        ]
         widened, planners = [], []
         extend, run_events = Planner._extend_backup, Planner.run_events
 
@@ -411,7 +446,8 @@ class TestBackupAlternatives:
 
         monkeypatch.setattr(Planner, "_extend_backup", recording_extend)
         monkeypatch.setattr(Planner, "run_events", recording_run_events)
-        for _key, inst, fd in pinned_grid(data_dir):
+        grid = [(inst, fd) for _key, inst, fd in pinned_grid(data_dir)]
+        for inst, fd in grid + more:
             solve(inst, SolverConfig(model=SYN, fd=fd, deadline=None))
             for planner in planners:
                 for a in inst.agents():
