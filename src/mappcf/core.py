@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 Vertex = int
 Path = tuple[int, ...]
@@ -86,6 +87,20 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
+
+    @property
+    def reverse(self) -> "Graph":
+        """The graph with every edge turned around; an undirected graph is
+        its own reverse, and a directed one builds it once and keeps it."""
+        return self._reverse if self.directed else self
+
+    @cached_property
+    def _reverse(self) -> "Graph":
+        rev: list[list[int]] = [[] for _ in range(self.n)]
+        for u in range(self.n):
+            for v in self.adj[u]:
+                rev[v].append(u)  # u ascends, so each list comes out sorted
+        return Graph(self.n, tuple(map(tuple, rev)), directed=True, coords=self.coords)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list; for undirected graphs each edge appears once as (u<v)."""

@@ -11,10 +11,37 @@ The sequential runner consumes an explicit schedule of activations and
 crashes. An activated agent evaluates its rules, then moves one step only
 if the next vertex is unoccupied; otherwise it stays. Collisions cannot
 occur; the failure mode is getting stuck (an agent that can never finish).
+
+Plans are stepped in a compiled form, :class:`Compiled`, built once per
+(instance, solution) pair. It numbers and tabulates:
+
+* Positions. Every (path, 1-based progress) pair of every agent is one
+  position, numbered agent by agent, path by path.
+* Agent codes. An agent's position and status make one small int,
+  ``3 * position + status`` with status 0 correct, 1 crashed, 2 done.
+  Flat tables indexed by code give the vertex, the code one step further
+  along the path (the code itself at the path's end), the code after a
+  crash, the code after arriving (done at the goal end of a path), and
+  the rules parked there.
+* Observation codes. What a rule sees at its watch vertex is 0 vacant,
+  1 correct (a correct or done agent stands there), 2 crashed under the
+  anonymous detector, and ``3 + b`` crashed agent ``b`` under nfd. Each
+  rule is stored as (watch vertex, observation code, target code, rule),
+  in rule order, at the code of the position it is parked at. A trigger
+  the detector never reports (a named crash under afd, an anonymous one
+  under nfd) can never fire, so it gets no entry.
+* Configurations. A configuration is a tuple of agent codes, one per
+  agent. This module alone encodes and decodes them:
+  :meth:`Compiled.decode` gives the ``AgentState`` tuple, and the
+  ``Compiled.status`` table the status of one agent code.
+
+:func:`step_syn`, :func:`activate_seq` and :func:`crash_seq` are the only
+stepping code. The runners here and both verifiers call them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +60,12 @@ from .core import (
 CORRECT_ST = "correct"
 CRASHED_ST = "crashed"
 DONE_ST = "done"
+_STATUSES = (CORRECT_ST, CRASHED_ST, DONE_ST)  # by status number
+
+VACANT_OBS = 0
+CORRECT_OBS = 1
+CRASHED_ANON_OBS = 2
+CRASHED_NAMED_OBS = 3  # plus the agent id
 
 
 class AgentState(NamedTuple):
@@ -41,22 +74,13 @@ class AgentState(NamedTuple):
     status: str
 
 
-Config = "tuple[AgentState, ...]"
-
-
 def vertex_of(sol: Solution, a: int, st: AgentState) -> int:
     return sol.plans[a].paths[st.path][st.progress - 1]
 
 
 def init_states(inst: Instance, sol: Solution) -> "tuple[AgentState, ...]":
-    out = []
-    for a in inst.agents():
-        st = AgentState(0, 1, CORRECT_ST)
-        path = sol.plans[a].paths[0]
-        if len(path) == 1 and path[0] == inst.goals[a]:
-            st = st._replace(status=DONE_ST)
-        out.append(st)
-    return tuple(out)
+    cp = Compiled(inst, sol)
+    return cp.decode(cp.init)
 
 
 def occupancy(sol: Solution, states) -> "dict[int, tuple[int, str]]":
@@ -66,30 +90,117 @@ def occupancy(sol: Solution, states) -> "dict[int, tuple[int, str]]":
     return occ
 
 
-def observe_vertex(occ, fd: str, v: int) -> Observation:
-    entry = occ.get(v)
-    if entry is None:
-        return VACANT
-    a, status = entry
-    if status == CRASHED_ST:
-        return crashed(a if fd == NFD else None)
-    return CORRECT
-
-
 def observe(inst: Instance, sol: Solution, states, agent: int) -> "dict[int, Observation]":
     """Failure-detector view of the given agent's neighbourhood."""
     occ = occupancy(sol, states)
-    here = vertex_of(sol, agent, states[agent])
-    return {v: observe_vertex(occ, sol.fd, v) for v in inst.graph.adj[here]}
+    out = {}
+    for v in inst.graph.adj[vertex_of(sol, agent, states[agent])]:
+        a, status = occ.get(v, (None, None))
+        if status is None:
+            out[v] = VACANT
+        elif status == CRASHED_ST:
+            out[v] = crashed(a if sol.fd == NFD else None)
+        else:
+            out[v] = CORRECT
+    return out
 
 
-def _fire_rule(sol: Solution, a: int, st: AgentState, occ) -> "tuple[AgentState, object]":
-    """First matching transition rule wins; returns (state, fired rule or None)."""
-    for r in sol.plans[a].rules:
-        if r.from_path == st.path and r.at_index == st.progress:
-            if observe_vertex(occ, sol.fd, r.watch) == r.trigger:
-                return AgentState(r.to_path, 1, st.status), r
-    return st, None
+def _trigger_code(fd: str, trigger) -> "int | None":
+    """The observation code of ``trigger``; None if ``fd`` never reports it."""
+    if trigger.kind == "vacant":
+        return VACANT_OBS
+    if trigger.kind == "correct":
+        return CORRECT_OBS
+    if trigger.agent is None:
+        return None if fd == NFD else CRASHED_ANON_OBS
+    return CRASHED_NAMED_OBS + trigger.agent if fd == NFD else None
+
+
+class Compiled:
+    """An (instance, solution) pair compiled into flat integer step tables.
+
+    ``init`` is the initial configuration. Every table is indexed by agent
+    code (see the module docstring): ``vertex``, ``status`` (the status
+    string), ``seen`` (the observation code other agents get of it),
+    ``step`` (the code one step further along its path, the code itself at
+    the path's end, -1 unless the code is correct), ``crash`` (-1 if
+    already crashed), ``arrive`` (the done code at the goal end of a path,
+    else the code itself) and ``rules``. Raises ``ValueError`` for an
+    empty path or a rule that switches to a path the plan does not have.
+    """
+
+    __slots__ = ("init", "vertex", "status", "seen", "step", "crash", "arrive", "rules", "_first")
+
+    def __init__(self, inst: Instance, sol: Solution):
+        # code numbers of each path's first position, agent by agent
+        self._first = first = []
+        n = 0
+        for a, plan in enumerate(sol.plans):
+            first.append([])
+            for p, path in enumerate(plan.paths):
+                if not path:
+                    raise ValueError(f"agent {a} path {p} is empty")
+                first[a].append(n)
+                n += 3 * len(path)
+        self.vertex = vertex = [0] * n
+        self.step = step = [-1] * n
+        self.crash = crash = [-1] * n
+        self.arrive = arrive = list(range(n))
+        self.seen = seen = [CORRECT_OBS] * n
+        self.rules = rules = [()] * n
+        self.status = _STATUSES * (n // 3)
+        for a, plan in enumerate(sol.plans):
+            gone = CRASHED_NAMED_OBS + a if sol.fd == NFD else CRASHED_ANON_OBS
+            for c, path in zip(first[a], plan.paths):
+                end = c + 3 * len(path)  # the path's codes are c..end-1
+                for s in range(3):
+                    vertex[c + s:end:3] = path
+                step[c:end:3] = range(c + 3, end + 3, 3)
+                step[end - 3] = end - 3
+                crash[c:end:3] = crash[c + 2:end:3] = range(c + 1, end, 3)
+                seen[c + 1:end:3] = [gone] * len(path)
+                if path[-1] == inst.goals[a]:
+                    arrive[end - 3] = end - 1
+            parked: dict = {}
+            for r in plan.rules:
+                if not 0 <= r.to_path < len(plan.paths):
+                    raise ValueError(f"agent {a} rule {r.from_path}@{r.at_index} "
+                                     f"switches to path {r.to_path}, which does not exist")
+                obs = _trigger_code(sol.fd, r.trigger)
+                if obs is not None and 0 <= r.from_path < len(plan.paths) \
+                        and 1 <= r.at_index <= len(plan.paths[r.from_path]):
+                    c = first[a][r.from_path] + 3 * (r.at_index - 1)
+                    parked.setdefault(c, []).append((r.watch, obs, first[a][r.to_path], r))
+            for c, parked_here in parked.items():
+                rules[c] = tuple(parked_here)
+        self.init = tuple(arrive[first[a][0]] for a in range(len(sol.plans)))
+
+    def decode(self, cfg) -> "tuple[AgentState, ...]":
+        out = []
+        for a, c in enumerate(cfg):
+            p = bisect_right(self._first[a], c) - 1
+            progress = (c - self._first[a][p]) // 3 + 1
+            out.append(AgentState(p, progress, self.status[c]))
+        return tuple(out)
+
+    def settled(self, cfg) -> bool:
+        """No agent is still correct: everyone is done or crashed."""
+        return CORRECT_ST not in map(self.status.__getitem__, cfg)
+
+    def _occupancy(self, cfg) -> "dict[int, int]":
+        """Vertex -> observation code of the agent standing there."""
+        return dict(zip(map(self.vertex.__getitem__, cfg), map(self.seen.__getitem__, cfg)))
+
+
+def _switch(cp: Compiled, occ, a: int, c: int, trace) -> int:
+    """The code after agent ``a`` at correct code ``c`` checks its rules:
+    the first rule whose watch vertex shows its trigger wins."""
+    for watch, obs, target, rule in cp.rules[c]:
+        if occ.get(watch, VACANT_OBS) == obs:
+            if trace is not None:
+                trace.switch(a, rule)
+            return target
+    return c
 
 
 @dataclass(frozen=True)
@@ -99,63 +210,59 @@ class Collision:
     where: tuple  # (v,) or (u, v)
 
 
-def step_syn(inst: Instance, sol: Solution, states, crash_now=frozenset(), trace=None):
-    """One synchronous round; returns (new_states, collision or None)."""
-    sts = list(states)
-    for a in sorted(crash_now):
-        if sts[a].status == CRASHED_ST:
-            raise ValueError(f"agent {a} is already crashed")
-        sts[a] = sts[a]._replace(status=CRASHED_ST)
-        if trace is not None:
-            trace.note(f"crash agent={a} at={vertex_of(sol, a, sts[a])}")
+def step_syn(cp: Compiled, cfg, crash_now=(), trace=None):
+    """One synchronous round from configuration ``cfg``; returns (next
+    configuration, collision or None).
 
-    occ = occupancy(sol, sts)
-    after_rules = list(sts)
-    for a, st in enumerate(sts):
-        if st.status != CORRECT_ST:
-            continue
-        nst, rule = _fire_rule(sol, a, st, occ)
-        if rule is not None:
-            after_rules[a] = nst
+    The agents in ``crash_now`` crash first (``ValueError`` for one that
+    already has). On a collision the configuration is returned as the
+    agents moved, before anyone is marked done.
+    """
+    vertex, step, rules = cp.vertex, cp.step, cp.rules
+    if crash_now:
+        cfg = list(cfg)
+        for a in sorted(crash_now):
+            c = cp.crash[cfg[a]]
+            if c < 0:
+                raise ValueError(f"agent {a} is already crashed")
+            cfg[a] = c
             if trace is not None:
-                trace.switch(a, rule)
-    sts = after_rules
-
-    moved: dict[int, tuple[int, int]] = {}
-    out = list(sts)
-    for a, st in enumerate(sts):
-        if st.status != CORRECT_ST:
+                trace.note(f"crash agent={a} at={vertex[c]}")
+    out = list(cfg)
+    occ = None  # rules see the configuration after the crashes
+    moved = []
+    for a, c in enumerate(cfg):
+        d = step[c]
+        if d < 0:
             continue
-        path = sol.plans[a].paths[st.path]
-        if st.progress < len(path):
-            u, w = path[st.progress - 1], path[st.progress]
-            out[a] = st._replace(progress=st.progress + 1)
-            if u != w:
-                moved[a] = (u, w)
-                if trace is not None:
-                    trace.note(f"move agent={a} {u}->{w}")
+        if rules[c]:
+            if occ is None:
+                occ = cp._occupancy(cfg)
+            c = _switch(cp, occ, a, c, trace)
+            d = step[c]
+        out[a] = d
+        u = vertex[c]
+        w = vertex[d]
+        if u != w:
+            moved.append((a, u, w))
+    if trace is not None:
+        for a, u, w in moved:
+            trace.note(f"move agent={a} {u}->{w}")
 
-    by_vertex: dict[int, list[int]] = {}
-    for a, st in enumerate(out):
-        by_vertex.setdefault(vertex_of(sol, a, st), []).append(a)
-    for v, agents in sorted(by_vertex.items()):
-        if len(agents) > 1:
-            return tuple(out), Collision("vertex", tuple(agents), (v,))
-    for a in sorted(moved):
-        ua, wa = moved[a]
-        for b in sorted(moved):
-            if b <= a:
-                continue
-            if moved[b] == (wa, ua):
-                return tuple(out), Collision("swap", (a, b), (ua, wa))
-
-    for a, st in enumerate(out):
-        if st.status != CORRECT_ST:
-            continue
-        path = sol.plans[a].paths[st.path]
-        if st.progress == len(path) and path[-1] == inst.goals[a]:
-            out[a] = st._replace(status=DONE_ST)
-    return tuple(out), None
+    if len(set(map(vertex.__getitem__, out))) < len(out):
+        by_vertex: dict[int, list[int]] = {}
+        for a, d in enumerate(out):
+            by_vertex.setdefault(vertex[d], []).append(a)
+        v = min(v for v, agents in by_vertex.items() if len(agents) > 1)
+        return tuple(out), Collision("vertex", tuple(by_vertex[v]), (v,))
+    if len(moved) > 1:
+        # with no two agents on one vertex, each hop has one agent
+        hop = {(u, w): a for a, u, w in moved}
+        for a, u, w in moved:
+            b = hop.get((w, u), -1)
+            if b > a:
+                return tuple(out), Collision("swap", (a, b), (u, w))
+    return tuple(map(cp.arrive.__getitem__, out)), None
 
 
 class Trace:
@@ -178,10 +285,8 @@ class Trace:
             f" watch={rule.watch} saw={rule.trigger} to={rule.to_path}"
         )
 
-    def config(self, sol: Solution, states) -> None:
-        parts = []
-        for a, st in enumerate(states):
-            parts.append(f"{a}:{vertex_of(sol, a, st)}/{st.status[0]}")
+    def config(self, cp: Compiled, cfg) -> None:
+        parts = [f"{a}:{cp.vertex[c]}/{cp.status[c][0]}" for a, c in enumerate(cfg)]
         self.lines.append(f"[{self._t}] at " + " ".join(parts))
 
     def text(self) -> str:
@@ -202,11 +307,6 @@ class RunResult:
         return self.outcome == "arrived"
 
 
-def settled(states) -> bool:
-    """No agent is still correct: everyone is done or crashed."""
-    return all(st.status != CORRECT_ST for st in states)
-
-
 def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> RunResult:
     """Run the synchronous model to completion under a fixed crash pattern.
 
@@ -224,81 +324,81 @@ def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> Run
         if t < 1:
             raise ValueError(f"agent {a} crashes in round {t}, but rounds start at 1")
     trace = Trace()
-    states = init_states(inst, sol)
+    cp = Compiled(inst, sol)
+    cfg = cp.init
     trace.begin("t=0")
-    trace.config(sol, states)
-    seen = {states: 0}
+    trace.config(cp, cfg)
+    seen = {cfg: 0}
     t = crashes = 0
     while True:
-        if settled(states):
-            return RunResult("arrived", t, states, trace)
+        if cp.settled(cfg):
+            return RunResult("arrived", t, cp.decode(cfg), trace)
         t += 1
         trace.begin(f"t={t}")
         crash_now = frozenset(a for a, ct in crash_times.items() if ct == t)
-        states, coll = step_syn(inst, sol, states, crash_now, trace)
+        cfg, coll = step_syn(cp, cfg, crash_now, trace)
         crashes += len(crash_now)
         if crash_now and crashes > inst.f:
             trace.note(f"warning: crash count {crashes} exceeds budget f={inst.f}")
-        trace.config(sol, states)
+        trace.config(cp, cfg)
         if coll is not None:
             trace.note(f"collision {coll.kind} agents={coll.agents} where={coll.where}")
-            return RunResult("collision", t, states, trace, collision=coll)
+            return RunResult("collision", t, cp.decode(cfg), trace, collision=coll)
         pending = any(ct > t for ct in crash_times.values())
         if not pending:
-            if states in seen:
-                stuck = tuple(a for a, st in enumerate(states) if st.status == CORRECT_ST)
+            if cfg in seen:
+                stuck = _correct(cp, cfg)
                 if stuck:
                     trace.note(f"no progress: configuration repeats, stuck={stuck}")
-                    return RunResult("stuck", t, states, trace, stuck_agents=stuck)
-                return RunResult("arrived", t, states, trace)
-            seen[states] = t
+                    return RunResult("stuck", t, cp.decode(cfg), trace, stuck_agents=stuck)
+                return RunResult("arrived", t, cp.decode(cfg), trace)
+            seen[cfg] = t
         else:
-            seen = {states: t}
+            seen = {cfg: t}
 
 
-def activate_seq(inst: Instance, sol: Solution, states, a: int, trace=None):
-    """Sequential activation of one agent; returns the new configuration.
+def _correct(cp: Compiled, cfg) -> "tuple[int, ...]":
+    return tuple(a for a, c in enumerate(cfg) if cp.status[c] == CORRECT_ST)
+
+
+def activate_seq(cp: Compiled, cfg, a: int, trace=None):
+    """Sequential activation of agent ``a``; returns the new configuration.
 
     Crashed and done agents ignore activations. A correct agent first
     evaluates its rules, then advances one step if the next vertex is free.
     """
-    st = states[a]
-    if st.status != CORRECT_ST:
-        return states
-    occ = occupancy(sol, states)
-    nst, rule = _fire_rule(sol, a, st, occ)
-    if rule is not None and trace is not None:
-        trace.switch(a, rule)
-    path = sol.plans[a].paths[nst.path]
-    if nst.progress < len(path):
-        w = path[nst.progress]
-        here = path[nst.progress - 1]
+    c = cfg[a]
+    step = cp.step
+    if step[c] < 0:
+        return cfg
+    if cp.rules[c]:
+        c = _switch(cp, cp._occupancy(cfg), a, c, trace)
+    vertex = cp.vertex
+    d = step[c]
+    if d != c:
+        here, w = vertex[c], vertex[d]
         if w == here:
             raise ValueError("sequential paths cannot contain waits")
-        occupied = {vertex_of(sol, b, s) for b, s in enumerate(states) if b != a}
-        if w not in occupied:
-            nst = nst._replace(progress=nst.progress + 1)
-            if trace is not None:
-                trace.note(f"move agent={a} {here}->{w}")
-    path = sol.plans[a].paths[nst.path]
-    if nst.progress == len(path) and path[-1] == inst.goals[a]:
-        nst = nst._replace(status=DONE_ST)
-        if trace is not None:
-            trace.note(f"done agent={a}")
-    out = list(states)
-    out[a] = nst
-    return tuple(out)
+        others = list(map(vertex.__getitem__, cfg))
+        del others[a]
+        if w in others:
+            d = c
+        elif trace is not None:
+            trace.note(f"move agent={a} {here}->{w}")
+    done = cp.arrive[d]
+    if done != d and trace is not None:
+        trace.note(f"done agent={a}")
+    return cfg[:a] + (done,) + cfg[a + 1:]
 
 
-def crash_seq(inst: Instance, sol: Solution, states, a: int, trace=None):
-    st = states[a]
-    if st.status == CRASHED_ST:
+def crash_seq(cp: Compiled, cfg, a: int, trace=None):
+    """Agent ``a`` crashes where it stands; returns the new configuration."""
+    c = cp.crash[cfg[a]]
+    if c < 0:
         raise ValueError(f"agent {a} is already crashed")
-    out = list(states)
-    out[a] = st._replace(status=CRASHED_ST)
     if trace is not None:
-        trace.note(f"crash agent={a} at={vertex_of(sol, a, out[a])}")
-    return tuple(out)
+        trace.note(f"crash agent={a} at={cp.vertex[c]}")
+    return cfg[:a] + (c,) + cfg[a + 1:]
 
 
 def run_seq(inst: Instance, sol: Solution, schedule) -> RunResult:
@@ -310,9 +410,10 @@ def run_seq(inst: Instance, sol: Solution, schedule) -> RunResult:
     ``ValueError`` for an action on an agent that does not exist.
     """
     trace = Trace()
-    states = init_states(inst, sol)
+    cp = Compiled(inst, sol)
+    cfg = cp.init
     trace.begin("#0")
-    trace.config(sol, states)
+    trace.config(cp, cfg)
     crashes = 0
     for i, (op, a) in enumerate(schedule, start=1):
         trace.begin(f"#{i}")
@@ -320,18 +421,18 @@ def run_seq(inst: Instance, sol: Solution, schedule) -> RunResult:
             raise ValueError(
                 f"schedule action #{i} names agent {a}, but agents are 0..{inst.n_agents - 1}")
         if op == "activate":
-            states = activate_seq(inst, sol, states, a, trace)
+            cfg = activate_seq(cp, cfg, a, trace)
         elif op == "crash":
-            states = crash_seq(inst, sol, states, a, trace)
+            cfg = crash_seq(cp, cfg, a, trace)
             crashes += 1
             if crashes > inst.f:
                 trace.note(f"warning: crash count {crashes} exceeds budget f={inst.f}")
         else:
             raise ValueError(f"unknown schedule action {op!r}")
-        trace.config(sol, states)
-    stuck = tuple(a for a, st in enumerate(states) if st.status == CORRECT_ST)
+        trace.config(cp, cfg)
+    stuck = _correct(cp, cfg)
     outcome = "arrived" if not stuck else "stuck"
-    return RunResult(outcome, len(schedule), states, trace, stuck_agents=stuck)
+    return RunResult(outcome, len(schedule), cp.decode(cfg), trace, stuck_agents=stuck)
 
 
 def run(inst: Instance, sol: Solution, adversary) -> RunResult:

@@ -109,8 +109,7 @@ def goal_distances(graph: Graph, goal: int, blocked=frozenset(), stop: int = -1)
     only, so callers may keep one per goal and hand it back in as
     ``to_goal``.
     """
-    toward = Graph(n=graph.n, adj=_reverse_adj(graph), directed=graph.directed)
-    return bfs_distances(toward, goal, blocked, stop)
+    return bfs_distances(graph.reverse, goal, blocked, stop)
 
 
 def find_path_syn(
@@ -191,7 +190,7 @@ def find_path_syn(
     if dist[start] < 0:
         return None
     adj = graph.adj
-    pred = _reverse_adj(graph)
+    pred = graph.reverse.adj
     for slack in SLACKS:
         bound = start_time + dist[start] + slack
         layers = _grow(adj, pred, start, goal, start_time, res, blocked,
@@ -279,16 +278,6 @@ def _grow(adj, pred, start, goal, start_time, res, blocked, bound, dist):
             return None
         layers.append(nxt)
         t += 1
-
-
-def _reverse_adj(graph: Graph) -> tuple[tuple[int, ...], ...]:
-    if not graph.directed:
-        return graph.adj
-    rev: list[list[int]] = [[] for _ in range(graph.n)]
-    for u in range(graph.n):
-        for v in graph.adj[u]:
-            rev[v].append(u)
-    return tuple(tuple(sorted(r)) for r in rev)
 
 
 def find_path_seq(graph: Graph, start: int, goal: int, forbidden=frozenset(), penalty=frozenset()):

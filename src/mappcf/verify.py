@@ -13,7 +13,13 @@ Both models use one explorer, ``_state_graph``. It builds, breadth-first,
 the graph whose states are (configuration, remaining crash budget) pairs
 and whose edges are adversary steps: a round with its crash set in the
 synchronous model, one activation or one crash in the sequential model.
-Each model only says which steps leave a state.
+Each model only says which steps leave a state. A configuration is the
+execution module's int configuration of the plan compiled once per group
+(``execution.Compiled``): one small int per agent for its path position
+and status, so a state is a tuple of ints and an int. The verifier never
+takes one apart; it steps with ``execution.step_syn``, ``activate_seq``
+and ``crash_seq`` and reads an agent's status from the plan's ``status``
+table.
 
 * Synchronous: settled states (no correct agent left) stay out of the
   graph. A colliding step refutes the plan the moment the build meets it.
@@ -81,10 +87,9 @@ from .execution import (
     CORRECT_ST,
     CRASHED_ST,
     DONE_ST,
+    Compiled,
     activate_seq,
     crash_seq,
-    init_states,
-    settled,
     step_syn,
 )
 
@@ -135,12 +140,14 @@ def _check_structure(inst: Instance, sol: Solution) -> None:
         raise ValueError("solution is not executable: " + "; ".join(bad))
 
 
-def _crash_subsets(states, budget):
-    candidates = [a for a, st in enumerate(states) if st.status != CRASHED_ST]
-    yield frozenset()
+def _crash_subsets(status, cfg, budget):
+    """The sets of at most ``budget`` agents of ``cfg`` not crashed yet, as
+    sorted tuples, the empty set first; ``status`` maps agent codes to
+    statuses."""
+    candidates = [a for a, c in enumerate(cfg) if status[c] != CRASHED_ST]
+    yield ()
     for k in range(1, min(budget, len(candidates)) + 1):
-        for combo in itertools.combinations(candidates, k):
-            yield frozenset(combo)
+        yield from itertools.combinations(candidates, k)
 
 
 def interaction_components(sol: Solution) -> "list[tuple[int, ...]]":
@@ -225,17 +232,19 @@ def _round_robin(inst: Instance, sol: Solution, group) -> "tuple[list, list]":
     lead back to it.
     """
     rnd = [("activate", a) for a in group]
-    cfg = init_states(inst, sol)
+    cp = Compiled(inst, sol)
+    cfg = cp.init
     seen = {cfg: 0}
     rounds = 0
-    while any(cfg[a].status == CORRECT_ST for a in group):
+    while True:
+        if all(cp.status[cfg[a]] != CORRECT_ST for a in group):
+            return rnd * rounds, []
         for a in group:
-            cfg = activate_seq(inst, sol, cfg, a)
+            cfg = activate_seq(cp, cfg, a)
         rounds += 1
         if cfg in seen:
             return rnd * seen[cfg], rnd * (rounds - seen[cfg])
         seen[cfg] = rounds
-    return rnd * rounds, []
 
 
 def _verify_split(inst, sol, model, f, state_cap, explore) -> VerifyResult:
@@ -347,20 +356,20 @@ def verify_syn(
 
 
 def _explore_syn(inst: Instance, sol: Solution, budget0: int, state_cap: int):
-    init = init_states(inst, sol)
-    if settled(init):
+    cp = Compiled(inst, sol)
+    if cp.settled(cp.init):
         return 0, None
 
     def moves(state):
         # settled states end the run, so they stay out of the graph; the
         # crash-free step comes first, as it is the empty crash set
         cfg, budget = state
-        for crash_set in _crash_subsets(cfg, budget):
-            nxt, coll = step_syn(inst, sol, cfg, crash_set)
-            if coll is not None or not settled(nxt):
+        for crash_set in _crash_subsets(cp.status, cfg, budget):
+            nxt, coll = step_syn(cp, cfg, crash_set)
+            if coll is not None or not cp.settled(nxt):
                 yield crash_set, (nxt, budget - len(crash_set)), coll
 
-    states, edges, fault = _state_graph((init, budget0), moves, state_cap)
+    states, edges, fault = _state_graph((cp.init, budget0), moves, state_cap)
     if fault is not None:
         si, crash_set, coll = fault
         prefix = _walk(edges, 0, si) + [crash_set]
@@ -383,7 +392,7 @@ def _explore_syn(inst: Instance, sol: Solution, budget0: int, state_cap: int):
             return len(states), None
         prefix = _walk(edges, 0, si)
         kind = "stuck"
-        agents = tuple(a for a, st in enumerate(states[si][0]) if st.status == CORRECT_ST)
+        agents = tuple(a for a, c in enumerate(states[si][0]) if cp.status[c] == CORRECT_ST)
         detail = f"the configuration of round {len(prefix)} repeats forever if nobody else crashes"
     crash_times = {a: t for t, crash_set in enumerate(prefix, 1) for a in crash_set}
     return len(states), Counterexample(kind, agents=agents, crash_times=crash_times, detail=detail)
@@ -409,16 +418,19 @@ def verify_seq(
 def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
     activate = [("activate", a) for a in inst.agents()]
     crash = [("crash", a) for a in inst.agents()]
+    cp = Compiled(inst, sol)
+    status = cp.status
 
     def moves(state):
         cfg, budget = state
-        for a, st in enumerate(cfg):
-            if st.status == CORRECT_ST:
-                yield activate[a], (activate_seq(inst, sol, cfg, a), budget), None
-            if st.status != CRASHED_ST and budget > 0:
-                yield crash[a], (crash_seq(inst, sol, cfg, a), budget - 1), None
+        for a, c in enumerate(cfg):
+            st = status[c]
+            if st == CORRECT_ST:
+                yield activate[a], (activate_seq(cp, cfg, a), budget), None
+            if st != CRASHED_ST and budget > 0:
+                yield crash[a], (crash_seq(cp, cfg, a), budget - 1), None
 
-    states, edges, _ = _state_graph((init_states(inst, sol), budget0), moves, state_cap)
+    states, edges, _ = _state_graph((cp.init, budget0), moves, state_cap)
     n_states = len(states)
 
     # (a) an unfinished correct agent that can never finish again
@@ -427,7 +439,7 @@ def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
         for di, _ in outs:
             rev[di].append(si)
     for x in inst.agents():
-        good = [si for si, (cfg, _) in enumerate(states) if cfg[x].status == DONE_ST]
+        good = [si for si, (cfg, _) in enumerate(states) if status[cfg[x]] == DONE_ST]
         can = [False] * n_states
         stack = list(good)
         for si in good:
@@ -438,9 +450,8 @@ def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
                 if not can[pi]:
                     can[pi] = True
                     stack.append(pi)
-        for si in range(n_states):
-            cfg, _ = states[si]
-            if cfg[x].status == CORRECT_ST and not can[si]:
+        for si, (cfg, _) in enumerate(states):
+            if status[cfg[x]] == CORRECT_ST and not can[si]:
                 return n_states, Counterexample(
                     "unreachable_goal",
                     agents=(x,),
@@ -450,7 +461,7 @@ def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
 
     # (b) fair livelock: a crash-free cycle activating every unfinished
     # correct agent without finishing anyone
-    return n_states, _fair_livelock(states, edges)
+    return n_states, _fair_livelock(status, states, edges)
 
 
 def _sccs(n: int, adj: "list[list[int]]") -> list[list[int]]:
@@ -503,7 +514,8 @@ def _sccs(n: int, adj: "list[list[int]]") -> list[list[int]]:
     return out
 
 
-def _fair_livelock(states, edges) -> "Counterexample | None":
+def _fair_livelock(status, states, edges) -> "Counterexample | None":
+    """``status`` maps the agent codes of ``states`` to statuses."""
     act_adj = [[di for di, action in outs if action[0] == "activate"] for outs in edges]
     for comp in sorted(_sccs(len(states), act_adj), key=min):
         comp_set = set(comp)
@@ -512,7 +524,7 @@ def _fair_livelock(states, edges) -> "Counterexample | None":
         # activations never make a done agent correct again, so the
         # unfinished correct agents are the same all over the component
         cfg, _budget = states[comp[0]]
-        pending = tuple(a for a, st in enumerate(cfg) if st.status == CORRECT_ST)
+        pending = tuple(a for a, c in enumerate(cfg) if status[c] == CORRECT_ST)
         if not pending:
             continue
         inner = {si: [(di, action) for di, action in edges[si]

@@ -2,10 +2,23 @@
 
 Everything here works straight off the adjacency lists with plain
 recursion, on purpose: these functions double-check the package's
-search code, so they must not share any of it.
+search code, so they must not share any of it. The reference stepping at
+the end shares only the execution module's state and collision types and
+its two lookup helpers.
 """
 
 import itertools
+
+from mappcf.core import CORRECT, NFD, VACANT, crashed
+from mappcf.execution import (
+    CORRECT_ST,
+    CRASHED_ST,
+    DONE_ST,
+    AgentState,
+    Collision,
+    occupancy,
+    vertex_of,
+)
 
 
 def simple_paths(graph, s, t):
@@ -201,3 +214,146 @@ def must_visit_vertices(graph, s, t, forbidden=frozenset()):
 
     return {s, t} | {v for v in range(graph.n)
                      if v not in forbidden and v not in (s, t) and not reaches(forbidden | {v})}
+
+
+# --- reference stepping ----------------------------------------------------
+#
+# The per-agent stepping that ``mappcf.execution`` replaced with its
+# compiled step tables, kept unchanged as the reference the compiled
+# stepping is compared against. It walks ``AgentState`` tuples and the
+# solution's rule list directly, builds an occupancy map per step and
+# compares ``Observation`` objects.
+
+
+def init_states(inst, sol):
+    out = []
+    for a in inst.agents():
+        st = AgentState(0, 1, CORRECT_ST)
+        path = sol.plans[a].paths[0]
+        if len(path) == 1 and path[0] == inst.goals[a]:
+            st = st._replace(status=DONE_ST)
+        out.append(st)
+    return tuple(out)
+
+
+def observe_vertex(occ, fd, v):
+    entry = occ.get(v)
+    if entry is None:
+        return VACANT
+    a, status = entry
+    if status == CRASHED_ST:
+        return crashed(a if fd == NFD else None)
+    return CORRECT
+
+
+def _fire_rule(sol, a, st, occ):
+    """First matching transition rule wins; returns (state, fired rule or None)."""
+    for r in sol.plans[a].rules:
+        if r.from_path == st.path and r.at_index == st.progress:
+            if observe_vertex(occ, sol.fd, r.watch) == r.trigger:
+                return AgentState(r.to_path, 1, st.status), r
+    return st, None
+
+
+def step_syn(inst, sol, states, crash_now=frozenset(), trace=None):
+    """One synchronous round; returns (new_states, collision or None)."""
+    sts = list(states)
+    for a in sorted(crash_now):
+        if sts[a].status == CRASHED_ST:
+            raise ValueError(f"agent {a} is already crashed")
+        sts[a] = sts[a]._replace(status=CRASHED_ST)
+        if trace is not None:
+            trace.note(f"crash agent={a} at={vertex_of(sol, a, sts[a])}")
+
+    occ = occupancy(sol, sts)
+    after_rules = list(sts)
+    for a, st in enumerate(sts):
+        if st.status != CORRECT_ST:
+            continue
+        nst, rule = _fire_rule(sol, a, st, occ)
+        if rule is not None:
+            after_rules[a] = nst
+            if trace is not None:
+                trace.switch(a, rule)
+    sts = after_rules
+
+    moved = {}
+    out = list(sts)
+    for a, st in enumerate(sts):
+        if st.status != CORRECT_ST:
+            continue
+        path = sol.plans[a].paths[st.path]
+        if st.progress < len(path):
+            u, w = path[st.progress - 1], path[st.progress]
+            out[a] = st._replace(progress=st.progress + 1)
+            if u != w:
+                moved[a] = (u, w)
+                if trace is not None:
+                    trace.note(f"move agent={a} {u}->{w}")
+
+    by_vertex = {}
+    for a, st in enumerate(out):
+        by_vertex.setdefault(vertex_of(sol, a, st), []).append(a)
+    for v, agents in sorted(by_vertex.items()):
+        if len(agents) > 1:
+            return tuple(out), Collision("vertex", tuple(agents), (v,))
+    for a in sorted(moved):
+        ua, wa = moved[a]
+        for b in sorted(moved):
+            if b <= a:
+                continue
+            if moved[b] == (wa, ua):
+                return tuple(out), Collision("swap", (a, b), (ua, wa))
+
+    for a, st in enumerate(out):
+        if st.status != CORRECT_ST:
+            continue
+        path = sol.plans[a].paths[st.path]
+        if st.progress == len(path) and path[-1] == inst.goals[a]:
+            out[a] = st._replace(status=DONE_ST)
+    return tuple(out), None
+
+
+def activate_seq(inst, sol, states, a, trace=None):
+    """Sequential activation of one agent; returns the new configuration.
+
+    Crashed and done agents ignore activations. A correct agent first
+    evaluates its rules, then advances one step if the next vertex is free.
+    """
+    st = states[a]
+    if st.status != CORRECT_ST:
+        return states
+    occ = occupancy(sol, states)
+    nst, rule = _fire_rule(sol, a, st, occ)
+    if rule is not None and trace is not None:
+        trace.switch(a, rule)
+    path = sol.plans[a].paths[nst.path]
+    if nst.progress < len(path):
+        w = path[nst.progress]
+        here = path[nst.progress - 1]
+        if w == here:
+            raise ValueError("sequential paths cannot contain waits")
+        occupied = {vertex_of(sol, b, s) for b, s in enumerate(states) if b != a}
+        if w not in occupied:
+            nst = nst._replace(progress=nst.progress + 1)
+            if trace is not None:
+                trace.note(f"move agent={a} {here}->{w}")
+    path = sol.plans[a].paths[nst.path]
+    if nst.progress == len(path) and path[-1] == inst.goals[a]:
+        nst = nst._replace(status=DONE_ST)
+        if trace is not None:
+            trace.note(f"done agent={a}")
+    out = list(states)
+    out[a] = nst
+    return tuple(out)
+
+
+def crash_seq(inst, sol, states, a, trace=None):
+    st = states[a]
+    if st.status == CRASHED_ST:
+        raise ValueError(f"agent {a} is already crashed")
+    out = list(states)
+    out[a] = st._replace(status=CRASHED_ST)
+    if trace is not None:
+        trace.note(f"crash agent={a} at={vertex_of(sol, a, out[a])}")
+    return tuple(out)

@@ -63,6 +63,22 @@ class TestGraph:
         g = Graph.build(3, [(2, 0), (0, 1)])
         assert g.edges() == [(0, 1), (0, 2)]
 
+    def test_reverse_turns_every_edge_around(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            edges = {(u, v) for u in range(n) for v in range(n)
+                     if u != v and rng.random() < 0.3}
+            g = Graph.build(n, sorted(edges), directed=True)
+            rev = g.reverse
+            assert rev.directed and rev.n == n
+            assert rev.adj == tuple(tuple(sorted(u for u, v in edges if v == w))
+                                    for w in range(n))
+            assert g.reverse is rev  # built once per graph
+            assert rev.reverse == g
+            und = Graph.build(n, sorted(edges))
+            assert und.reverse is und
+
 
 class TestBfs:
     def test_line_distances(self):

@@ -38,11 +38,18 @@ def test_install_wraps_and_uninstall_restores(monkeypatch):
             assert getattr(owner, attr) is not fn, attr
         res = dcrf.solve(fixture("fig6").instance, dcrf.SolverConfig(model=SYN, fd=NFD))
         assert res.ok
+        # the verifiers step through the names the tracer wraps
+        for name in ("fig1", "seq_anonymous"):
+            fx = fixture(name)
+            for sol in fx.solutions:
+                assert verify.verify(fx.instance, sol).ok
     finally:
         tracer.uninstall()
     for owner, attr, fn in originals:
         assert getattr(owner, attr) is fn, attr
     stats = tracer.stats
     for name in ("dcrf.solve", "dcrf.Planner.get_initial_plans", "dcrf.Planner.run_events",
-                 "dcrf.Planner.find_backup_path", "pathfind.find_path_syn"):
+                 "dcrf.Planner.find_backup_path", "pathfind.find_path_syn",
+                 "verify.verify_syn", "verify.verify_seq", "execution.step_syn",
+                 "execution.activate_seq", "execution.crash_seq"):
         assert stats[name].calls > 0, name
