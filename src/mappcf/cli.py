@@ -27,6 +27,7 @@ from .core import (
     SEQ,
     SYN,
     Instance,
+    cpu_deadline,
     normalized_cost,
     solution_cost,
     validate_instance,
@@ -209,6 +210,13 @@ def _bench_tasks(config: dict, base: Path) -> list[dict]:
     for key in ("map", "n", "f", "seeds"):
         if key not in config:
             raise ValueError(f"bench config: missing key {key!r}")
+    timeout = config.get("timeout", 30)
+    try:
+        cpu_deadline(timeout)
+    except ValueError:
+        raise ValueError(
+            f"bench config: timeout must be null or a number >= 0, got {timeout!r}"
+        ) from None
     map_rel = config["map"]
     scen = config.get("scen")
     tasks = []
@@ -229,7 +237,7 @@ def _bench_tasks(config: dict, base: Path) -> list[dict]:
                                     "fd": fd,
                                     "algo": algo,
                                     "seed": seed,
-                                    "timeout": config.get("timeout", 30),
+                                    "timeout": timeout,
                                 }
                             )
     return tasks

@@ -22,6 +22,7 @@ Failure detectors: ``nfd`` observations carry the crashed agent's identity,
 from __future__ import annotations
 
 import itertools
+import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -124,17 +125,52 @@ def bfs_distances(graph: Graph, source: int, blocked=frozenset(), stop: int = -1
     dist = [-1] * graph.n
     if source in blocked:
         return dist
+    for v in blocked:
+        dist[v] = -2
+    bfs_fill(graph.adj, dist, source, stop)
+    for v in blocked:
+        dist[v] = -1
+    return dist
+
+
+def bfs_fill(adj, dist: list[int], source: int, stop: int = -1) -> list[int]:
+    """The search of :func:`bfs_distances`, in place on ``dist``.
+
+    Labels with its hop distance every vertex reachable from ``source``
+    through vertices whose entry is -1; any other entry is a wall, so a
+    caller marks the vertices to avoid before the search. ``source`` is
+    labelled 0 whatever its entry.
+    """
     dist[source] = 0
     q = deque([source])
     while q:
         u = q.popleft()
-        for v in graph.adj[u]:
-            if dist[v] == -1 and v not in blocked:
-                dist[v] = dist[u] + 1
+        du = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] == -1:
+                dist[v] = du
                 if v == stop:
                     return dist
                 q.append(v)
     return dist
+
+
+def vertex_mask(vertices) -> int:
+    """The vertex set as an int bitmask: bit v is set for each vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The vertices of a :func:`vertex_mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def reachable(graph: Graph, source: int, target: int, blocked=frozenset()) -> bool:
@@ -180,6 +216,24 @@ def validate_instance(inst: Instance) -> list[str]:
     if inst.f > len(inst.starts):
         out.append(f"crash budget f={inst.f} exceeds number of agents")
     return out
+
+
+def cpu_deadline(deadline: "float | None") -> "float | None":
+    """The ``time.process_time()`` reading at which a solve given
+    ``deadline`` cpu-seconds runs out; None for no limit.
+
+    The budget is cpu time, not wall time, so concurrent benchmark workers
+    sharing cores mostly reach a serial run's verdicts; contention still
+    inflates cpu time, so a solve close to the budget can differ. Raises
+    ValueError unless ``deadline`` is None or a number >= 0: no clock
+    reading exceeds a NaN budget, so it would never run out, and a
+    negative one runs out before any work.
+    """
+    if deadline is None:
+        return None
+    if isinstance(deadline, bool) or not isinstance(deadline, (int, float)) or not deadline >= 0:
+        raise ValueError(f"deadline must be None or a number >= 0, got {deadline!r}")
+    return time.process_time() + deadline
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,7 @@ from .core import (
     Plan,
     Solution,
     TransitionRule,
+    cpu_deadline,
     crashed,
     validate_instance,
     _path_violations,
@@ -661,10 +662,7 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     if cfg.fd not in (NFD, AFD):
         raise ValueError(f"unknown failure detector {cfg.fd!r}")
     t0 = time.monotonic()
-    # the budget is cpu time, not wall time, so concurrent benchmark workers
-    # sharing cores mostly reach a serial run's verdicts; contention still
-    # inflates cpu time, so a solve close to the budget can differ
-    deadline_at = None if cfg.deadline is None else time.process_time() + cfg.deadline
+    deadline_at = cpu_deadline(cfg.deadline)
     rng = random.Random(cfg.seed)
     n = inst.n_agents
     pinned = cfg.priority is not None or cfg.initial_paths is not None

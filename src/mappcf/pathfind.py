@@ -13,12 +13,17 @@ try is unbounded. That try, when no path exists, stops as soon as the
 set of reachable vertices repeats after the last reservation: from then
 on every step is the same, so the set, and the verdict, would repeat up
 to the horizon.
-``find_path_seq`` finds the shortest simple path avoiding a forbidden
-vertex set, with the same tie-breaks, from a single BFS toward the goal:
-a step stays on a shortest path exactly when it lowers the distance to
-the goal by one. ``find_path_seq_cuts`` returns that path together with
-its cut set, the vertices every such shortest path must visit, and
-``must_visit`` scans a path for the vertices every route at all must visit.
+``find_path_seq_cuts`` finds the shortest simple path avoiding a
+forbidden vertex set, with the same tie-breaks, from a single BFS toward
+the goal: a step stays on a shortest path exactly when it lowers the
+distance to the goal by one. It returns that path together with its cut
+set, the vertices every such shortest path must visit, and
+``must_visit_mask`` scans a path for the vertices every route at all must
+visit. Each has one implementation, which gives its vertex sets as int
+bitmasks (bit v = vertex v), the form the disjoint CBS keeps them in:
+``find_path_seq_mask`` and ``must_visit_mask`` take and give bitmasks;
+``find_path_seq``, ``find_path_seq_cuts`` and ``must_visit`` are thin
+adapters for callers that hold Python sets.
 
 Both shortest-path searches settle their tie-breaks in one backward pass
 over their layers, which keeps each vertex's best step; the path then
@@ -27,7 +32,7 @@ follows those steps from the start.
 
 from __future__ import annotations
 
-from .core import Graph, Path, bfs_distances
+from .core import Graph, Path, bfs_distances, bfs_fill, mask_vertices, vertex_mask
 
 
 class Reservations:
@@ -282,7 +287,7 @@ def _grow(adj, pred, start, goal, start_time, res, blocked, bound, dist):
 
 def find_path_seq(graph: Graph, start: int, goal: int, forbidden=frozenset(), penalty=frozenset()):
     """The path of :func:`find_path_seq_cuts`, without its cut set."""
-    return find_path_seq_cuts(graph, start, goal, forbidden, penalty)[0]
+    return _find_path_seq(graph, start, goal, forbidden, vertex_mask(penalty))[0]
 
 
 def find_path_seq_cuts(
@@ -298,6 +303,42 @@ def find_path_seq_cuts(
     ``(None, frozenset())`` when no path exists. ``start == goal`` yields
     the single-vertex path.
 
+    ``cuts`` holds the vertices that are alone in their layer of the
+    shortest-path DAG, the start and the goal included (the goal is a layer
+    of its own). Every shortest path visits exactly one vertex of each
+    layer, so these are the vertices that every shortest path avoiding
+    ``forbidden`` visits: forbidding one of them as well makes the path
+    longer or impossible, and forbidding any other vertex leaves its length
+    unchanged.
+
+    The vertex-set adapter of the kernel :func:`_find_path_seq`;
+    :func:`find_path_seq_mask` is its bitmask form.
+    """
+    path, cuts = _find_path_seq(graph, start, goal, forbidden, vertex_mask(penalty))
+    return path, frozenset(mask_vertices(cuts))
+
+
+def find_path_seq_mask(graph: Graph, start: int, goal: int, forbidden: int = 0, penalty: int = 0):
+    """:func:`find_path_seq_cuts` over vertex bitmasks (bit v = vertex v, see
+    :func:`~mappcf.core.vertex_mask`), the form the disjoint CBS keeps its
+    sets in: ``(path, path_mask, cuts)`` with the path's vertex set and its
+    cut set as bitmasks, or ``(None, 0, 0)`` when no path exists."""
+    path, cuts = _find_path_seq(graph, start, goal, mask_vertices(forbidden), penalty)
+    return path, (0 if path is None else vertex_mask(path)), cuts
+
+
+def _find_path_seq(graph: Graph, start: int, goal: int, walls, penalty: int):
+    """The one search behind :func:`find_path_seq`, :func:`find_path_seq_cuts`
+    and :func:`find_path_seq_mask`: ``(path, cuts)``, ``cuts`` a bitmask, or
+    ``(None, 0)``.
+
+    ``walls`` yields the forbidden vertices and ``penalty`` is a bitmask.
+    The forbidden vertices are marked in the distance list before the
+    search starts, so the search never tests a set and only has to
+    enumerate them: a set caller hands its set over as it is, and the
+    bitmask form decodes its mask, so neither converts one form into the
+    other and back.
+
     One BFS toward the goal (on the reversed graph when directed) gives
     each vertex's distance to the goal; it stops once the start is
     labelled, as every distance read below is smaller than the start's. A
@@ -307,27 +348,27 @@ def find_path_seq_cuts(
     fewest penalized entries still ahead and keeps the first step (in
     adjacency order, which is ascending) that attains it, and the path
     follows the kept steps.
-
-    ``cuts`` holds the vertices that are alone in their layer, the start
-    and the goal included (the goal is a layer of its own). Every shortest
-    path visits exactly one vertex of each layer, so these are the vertices
-    that every shortest path avoiding ``forbidden`` visits: forbidding one
-    of them as well makes the path longer or impossible, and forbidding any
-    other vertex leaves its length unchanged.
     """
-    if start in forbidden or goal in forbidden:
-        return None, frozenset()
+    dist = [-1] * graph.n
+    for v in walls:
+        dist[v] = -2
+    if dist[start] == -2 or dist[goal] == -2:
+        return None, 0
     if start == goal:
-        return (start,), frozenset((start,))
-    dist = goal_distances(graph, goal, frozenset(forbidden), stop=start)
+        return (start,), 1 << start
+    bfs_fill(graph.reverse.adj, dist, goal, stop=start)
     if dist[start] < 0:
-        return None, frozenset()
+        return None, 0
     # vertices on some shortest path, one layer per step from the start
     adj = graph.adj
     layers = [{start}]
     for d in range(dist[start] - 1, 0, -1):
         layers.append({w for v in layers[-1] for w in adj[v] if dist[w] == d})
-    cuts = frozenset([goal] + [v for layer in layers if len(layer) == 1 for v in layer])
+    cuts = 1 << goal
+    for layer in layers:
+        if len(layer) == 1:
+            for v in layer:
+                cuts |= 1 << v
     # fewest penalized vertices entered from here to the goal, and the
     # smallest next vertex that keeps that count
     pen = {goal: 0}
@@ -338,7 +379,7 @@ def find_path_seq_cuts(
             best = None
             for w in adj[v]:
                 if dist[w] == down:
-                    p = pen[w] + (1 if w in penalty else 0)
+                    p = pen[w] + (penalty >> w & 1)
                     if best is None or p < best:
                         best, step[v] = p, w
             pen[v] = best
@@ -349,13 +390,20 @@ def find_path_seq_cuts(
 
 
 def must_visit(graph: Graph, path: Path, forbidden=frozenset()) -> frozenset:
-    """The vertices every route from ``path[0]`` to ``path[-1]`` avoiding
-    ``forbidden`` visits, the start and the goal included.
+    """:func:`must_visit_mask` over vertex sets."""
+    return frozenset(mask_vertices(must_visit_mask(graph, path, vertex_mask(forbidden))))
 
-    ``path`` must be such a route, so all of these vertices lie on it (they
-    are the goal's dominators from the start). They are a subset of the cut
-    set of :func:`find_path_seq_cuts`, which only asks about shortest
-    routes. Follows edge direction on directed graphs.
+
+def must_visit_mask(graph: Graph, path: Path, forbidden: int = 0) -> int:
+    """The vertices every route from ``path[0]`` to ``path[-1]`` avoiding
+    ``forbidden`` visits, the start and the goal included, as a bitmask.
+
+    ``forbidden`` is a vertex bitmask too. ``path`` must be such a route,
+    so all of these vertices lie on it (they are the goal's dominators from
+    the start). They are a subset of the cut set of
+    :func:`find_path_seq_mask`, which only asks about shortest routes.
+    Follows edge direction on directed graphs. This is the one
+    implementation; :func:`must_visit` is its adapter over vertex sets.
 
     One search from the start, O(V+E): ``m`` is the furthest path index
     touched so far, and the search expands every touched vertex except
@@ -367,32 +415,40 @@ def must_visit(graph: Graph, path: Path, forbidden=frozenset()) -> frozenset:
     separates start and goal; the search then continues from it. Once the
     goal is touched, every earlier candidate has been released, so the scan
     stops there.
+
+    One list ``tag`` holds both the search's marks and the path's indices:
+    -2 for a vertex already touched or forbidden, a path vertex's index
+    until it is touched, and -1 for every other vertex.
     """
-    index = {v: i for i, v in enumerate(path)}
+    tag = [-1] * graph.n
+    for i, v in enumerate(path):
+        tag[v] = i
+    for v in mask_vertices(forbidden):
+        tag[v] = -2
     adj = graph.adj
     last = len(path) - 1
-    out = [path[0], path[last]]
-    seen = {path[0]}
+    out = 1 << path[0] | 1 << path[last]
+    tag[path[0]] = -2
     stack = [path[0]]
     m = expanded = 0  # expanded: the last separator, already pushed
     while m != last:
         while stack:
             for w in adj[stack.pop()]:
-                if w in seen or w in forbidden:
+                i = tag[w]
+                if i == -2:
                     continue
-                seen.add(w)
-                i = index.get(w, -1)
+                tag[w] = -2
                 if i <= m:
                     stack.append(w)
                     continue
                 if i == last:
-                    return frozenset(out)
+                    return out
                 if m != expanded:
                     stack.append(path[m])
                 m = i
         if m == expanded:
             raise ValueError("no route from path[0] to path[-1] avoids forbidden")
-        out.append(path[m])
+        out |= 1 << path[m]
         stack.append(path[m])
         expanded = m
-    return frozenset(out)
+    return out

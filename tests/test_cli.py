@@ -70,6 +70,16 @@ class TestSolveVerifyFlow:
         assert code == 2
         assert "reason=no_backup" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algo", ["dcrf", "disjoint"])
+    @pytest.mark.parametrize("timeout", ["nan", "-5"])
+    def test_bad_timeout_is_an_error(self, tmp_path, capsys, algo, timeout):
+        # a NaN budget never runs out and a negative one runs out at once
+        inst = gen_fixture(tmp_path, "fig8")
+        capsys.readouterr()
+        code = run_cli("solve", "--instance", str(inst), "--algo", algo, "--timeout", timeout)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: deadline must be None or a number >= 0")
+
     def test_priority_with_disjoint_is_an_error(self, tmp_path, capsys):
         inst = gen_fixture(tmp_path, "fig8")
         prio = tmp_path / "fig8.instance.priority.txt"
@@ -310,6 +320,16 @@ class TestBench:
             return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
 
         assert scrub(one) == scrub(two)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), -5, "10"])
+    def test_bad_timeout_is_an_error(self, tmp_path, capsys, timeout):
+        (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, timeout=timeout)))
+        out = tmp_path / "results.csv"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: bench config: timeout must be")
+        assert not out.exists()
 
     def test_unknown_config_key_is_an_error(self, tmp_path):
         (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))

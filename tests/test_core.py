@@ -21,11 +21,13 @@ from mappcf.core import (
     bfs_distances,
     check_necessary,
     crashed,
+    mask_vertices,
     normalized_cost,
     reachable,
     solution_cost,
     validate_instance,
     validate_solution,
+    vertex_mask,
 )
 from mappcf.gen import fixture
 
@@ -78,6 +80,17 @@ class TestGraph:
             assert rev.reverse == g
             und = Graph.build(n, sorted(edges))
             assert und.reverse is und
+
+
+class TestVertexMask:
+    def test_round_trip_is_ascending(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            vs = rng.sample(range(300), rng.randrange(20))
+            mask = vertex_mask(vs)
+            assert mask.bit_count() == len(vs)
+            assert mask_vertices(mask) == sorted(vs)
+        assert vertex_mask(()) == 0 and mask_vertices(0) == []
 
 
 class TestBfs:

@@ -267,6 +267,13 @@ class TestFailureModes:
         res = solve(fx.instance, SolverConfig(model=SYN, fd=NFD, deadline=0.0))
         assert res.status == "timeout"
 
+    @pytest.mark.parametrize("deadline", [float("nan"), -5.0, True, "10"])
+    def test_deadline_must_be_a_number_at_least_zero(self, deadline):
+        # no clock reading exceeds NaN, so a NaN budget would never run out
+        fx = fixture("fig1")
+        with pytest.raises(ValueError, match="deadline must be None or a number >= 0"):
+            solve(fx.instance, SolverConfig(model=SYN, fd=NFD, deadline=deadline))
+
     def test_invalid_instance_raises(self):
         g = Graph.build(3, [(0, 1), (1, 2)])
         inst = Instance(graph=g, starts=(0, 0), goals=(1, 2), f=1)

@@ -1,6 +1,7 @@
 """Disjoint-paths baseline: pins, optimality, and proof-grade verdicts."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -147,6 +148,35 @@ class TestGridPins:
             res = solve_disjoint(gen_well_formed(graph, n, 1, seed), deadline=None)
             assert (res.status, res.nodes, res.pruned) == (status, nodes, pruned), (n, seed)
 
+    def test_infeasibility_proofs_on_the_benchmark_deck(self):
+        # the deck's largest proofs, searched to the end: any change to the
+        # conflict choice, the open-list order or the propagation shows here;
+        # (agents, seed, status, nodes, pruned children)
+        graph = parse_map(random_grid_map(8, 8, seed=0))
+        pins = [
+            (2, 1, "infeasible", 4385, 3881),
+            (2, 2, "infeasible", 2400, 1585),
+            (3, 10, "infeasible", 1687, 1497),
+            (3, 2, "infeasible", 148, 92),
+        ]
+        for n, seed, status, nodes, pruned in pins:
+            res = solve_disjoint(gen_well_formed(graph, n, 1, seed), deadline=None)
+            assert (res.status, res.nodes, res.pruned) == (status, nodes, pruned), (n, seed)
+
+    def test_search_memory_stays_small(self):
+        # every vertex set a node keeps is an int bitmask: this 148-node
+        # proof peaks near 0.06 MiB, against about 0.45 MiB with frozensets
+        inst = gen_well_formed(parse_map(random_grid_map(8, 8, seed=0)), 3, 1, 2)
+        solve_disjoint(inst, deadline=None)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            res = solve_disjoint(inst, deadline=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.status, res.nodes, res.pruned) == ("infeasible", 148, 92)
+        assert peak < 0.25 * 2**20, peak
+
     def test_benchmark_deck_verdicts_and_costs(self):
         # every instance of the 8x8 deck the CBS is benchmarked on, run to
         # a verdict: (agents, seed) -> total length, None when infeasible;
@@ -175,6 +205,13 @@ class TestMechanics:
         res = solve_disjoint(fx.instance, deadline=0.0)
         assert res.status == "timeout"
         assert res.solution is None
+
+    @pytest.mark.parametrize("deadline", [float("nan"), -5.0, True, "10"])
+    def test_deadline_must_be_a_number_at_least_zero(self, deadline):
+        # no clock reading exceeds NaN, so a NaN budget would never run out
+        fx = fixture("fig8")
+        with pytest.raises(ValueError, match="deadline must be None or a number >= 0"):
+            solve_disjoint(fx.instance, deadline=deadline)
 
     def test_invalid_instance_raises(self):
         g = Graph.build(3, [(0, 1), (1, 2)])

@@ -5,15 +5,17 @@ import random
 import pytest
 
 from mappcf import pathfind
-from mappcf.core import Graph, bfs_distances
+from mappcf.core import Graph, bfs_distances, vertex_mask
 from mappcf.gen import grid_graph
 from mappcf.pathfind import (
     Reservations,
     find_path_seq,
     find_path_seq_cuts,
+    find_path_seq_mask,
     find_path_syn,
     goal_distances,
     must_visit,
+    must_visit_mask,
 )
 from oracles import best_timed_walk, must_visit_vertices, simple_paths
 
@@ -193,6 +195,9 @@ class TestFindPathSeq:
             penalty = frozenset(rng.sample(range(n), rng.randrange(n)))
             path, cuts = find_path_seq_cuts(g, s, t, forbidden, penalty)
             assert path == find_path_seq(g, s, t, forbidden, penalty), case
+            # the kernel under the set adapters: every set as a bitmask
+            got = find_path_seq_mask(g, s, t, vertex_mask(forbidden), vertex_mask(penalty))
+            assert got == (path, vertex_mask(path or ()), vertex_mask(cuts)), case
             if path is None:
                 assert cuts == frozenset(), case
                 continue
@@ -241,6 +246,7 @@ class TestMustVisit:
             routes = [p for p in simple_paths(g, s, t) if not forbidden & set(p)]
             for path in (shortest, rng.choice(routes)):
                 assert must_visit(g, path, forbidden) == want, case
+                assert must_visit_mask(g, path, vertex_mask(forbidden)) == vertex_mask(want)
             checked += 1
             inner += len(want) > 2
         assert checked > 2000 and inner > 500  # separators inside the route occur
