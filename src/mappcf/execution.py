@@ -21,8 +21,8 @@ Plans are stepped in a compiled form, :class:`Compiled`, built once per
   ``3 * position + status`` with status 0 correct, 1 crashed, 2 done.
   Flat tables indexed by code give the vertex, the code one step further
   along the path (the code itself at the path's end), the code after a
-  crash, the code after arriving (done at the goal end of a path), and
-  the rules parked there.
+  crash, the code after arriving (done at the goal end of a path), the
+  rules parked there and the bitmask of the vertices they watch.
 * Observation codes. What a rule sees at its watch vertex is 0 vacant,
   1 correct (a correct or done agent stands there), 2 crashed under the
   anonymous detector, and ``3 + b`` crashed agent ``b`` under nfd. Each
@@ -125,11 +125,13 @@ class Compiled:
     ``step`` (the code one step further along its path, the code itself at
     the path's end, -1 unless the code is correct), ``crash`` (-1 if
     already crashed), ``arrive`` (the done code at the goal end of a path,
-    else the code itself) and ``rules``. Raises ``ValueError`` for an
+    else the code itself), ``rules`` and ``watched`` (bit v set when a rule
+    parked at the code watches vertex v). Raises ``ValueError`` for an
     empty path or a rule that switches to a path the plan does not have.
     """
 
-    __slots__ = ("init", "vertex", "status", "seen", "step", "crash", "arrive", "rules", "_first")
+    __slots__ = ("init", "vertex", "status", "seen", "step", "crash", "arrive", "rules",
+                 "watched", "_first")
 
     def __init__(self, inst: Instance, sol: Solution):
         # code numbers of each path's first position, agent by agent
@@ -148,6 +150,7 @@ class Compiled:
         self.arrive = arrive = list(range(n))
         self.seen = seen = [CORRECT_OBS] * n
         self.rules = rules = [()] * n
+        self.watched = watched = [0] * n
         self.status = _STATUSES * (n // 3)
         for a, plan in enumerate(sol.plans):
             gone = CRASHED_NAMED_OBS + a if sol.fd == NFD else CRASHED_ANON_OBS
@@ -173,6 +176,8 @@ class Compiled:
                     parked.setdefault(c, []).append((r.watch, obs, first[a][r.to_path], r))
             for c, parked_here in parked.items():
                 rules[c] = tuple(parked_here)
+                for watch, *_ in parked_here:
+                    watched[c] |= 1 << watch
         self.init = tuple(arrive[first[a][0]] for a in range(len(sol.plans)))
 
     def decode(self, cfg) -> "tuple[AgentState, ...]":

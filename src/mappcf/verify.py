@@ -29,13 +29,37 @@ table.
   for a configuration from which some correct agent can never finish and
   for a fair livelock.
 
-``states_explored`` counts the states of the graph: for the synchronous
-model the distinct unsettled (configuration, budget) pairs, for the
-sequential model every reachable pair. On a verified plan that is the
-whole reachable graph; on a refuted synchronous plan the build stops at
-the witness, so the count covers only what was built by then. A witness
-prefix is a shortest walk in its group's graph, so a synchronous collision
-comes with the fewest rounds that reach one.
+The synchronous model also leaves out crash steps that no agent outside
+the crash set can notice, a partial-order reduction (Godefroid, LNCS 1032,
+1996). Let R0 be the crash-free run from a state (cfg, b). A crash set C
+with |C| = b is skipped when R0 settles with no collision and no repeated
+configuration, no agent outside C stands, after cfg in R0, on a vertex a
+member of C holds in cfg, and no rule an agent outside C evaluates in R0
+watches a vertex a member of C holds in cfg or later in R0. Crashing C
+then spends the whole budget, so the run goes on crash-free. The
+survivors see at every watched vertex what they see in R0, so they make
+the moves of R0, and the crashed bodies stand where nobody comes: that
+run is as safe as R0. A crash set that takes every correct agent is
+skipped too, without a step: nobody moves, so the run settles, and
+settled states stay out of the graph anyway. The crash-free step is
+never skipped and stays each state's first edge.
+
+Only safe states are left out this way: states from which no collision
+and no cycle can be reached. A state that leads to a fault has only
+predecessors that lead to it as well, so those states, their edges among
+each other and the order in which the breadth-first build meets them are
+those of the full graph. The first colliding step, the shortest walk to
+it and the first cycle of crash-free steps are therefore the same:
+verdicts and counterexamples equal those of the full graph.
+
+``states_explored`` counts the states of the graph that was built: for
+the synchronous model the distinct unsettled (configuration, budget)
+pairs of the reduced graph, for the sequential model every reachable
+pair. On a verified plan that is the whole reachable (reduced) graph; on
+a refuted synchronous plan the build stops at the witness, so the count
+covers only what was built by then. A witness prefix is a shortest walk
+in its group's graph, so a synchronous collision comes with the fewest
+rounds that reach one.
 
 Both verifiers explore each group of interacting agents on its own. Let
 V(a) be the vertices on all of agent a's paths and W(a) the vertices its
@@ -144,8 +168,10 @@ def _crash_subsets(status, cfg, budget):
     """The sets of at most ``budget`` agents of ``cfg`` not crashed yet, as
     sorted tuples, the empty set first; ``status`` maps agent codes to
     statuses."""
-    candidates = [a for a, c in enumerate(cfg) if status[c] != CRASHED_ST]
     yield ()
+    if not budget:
+        return
+    candidates = [a for a, c in enumerate(cfg) if status[c] != CRASHED_ST]
     for k in range(1, min(budget, len(candidates)) + 1):
         yield from itertools.combinations(candidates, k)
 
@@ -247,12 +273,22 @@ def _round_robin(inst: Instance, sol: Solution, group) -> "tuple[list, list]":
         seen[cfg] = rounds
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _verify_split(inst, sol, model, f, state_cap, explore) -> VerifyResult:
     """Run ``explore`` on each interaction group with the full budget.
 
     ``explore(inst, sol, budget, cap)`` returns (states explored,
     counterexample or None) or raises ``_TooLarge(states explored)``.
+    Raises ``ValueError`` unless ``f`` is None or an int >= 0 and
+    ``state_cap`` is an int >= 0.
     """
+    if f is not None and not _is_count(f):
+        raise ValueError(f"crash budget f must be None or an int >= 0, got {f!r}")
+    if not _is_count(state_cap):
+        raise ValueError(f"state_cap must be an int >= 0, got {state_cap!r}")
     _check_structure(inst, sol)
     budget = inst.f if f is None else f
     groups = interaction_components(sol)
@@ -347,10 +383,11 @@ def verify_syn(
 
     Builds each interaction group's state graph: one state per unsettled
     (configuration, remaining budget) pair, one step per round and crash
-    set. A colliding step refutes the plan as soon as the build meets it.
-    Otherwise the plan is stuck if the graph has a cycle: crashes spend
-    budget, so a cycle takes crash-free steps only, and the adversary can
-    keep the run on it forever without crashing anyone else.
+    set, leaving out the crash sets no surviving agent can notice (see the
+    module docstring). A colliding step refutes the plan as soon as the
+    build meets it. Otherwise the plan is stuck if the graph has a cycle:
+    crashes spend budget, so a cycle takes crash-free steps only, and the
+    adversary can keep the run on it forever without crashing anyone else.
     """
     return _verify_split(inst, sol, SYN, f, state_cap, _explore_syn)
 
@@ -359,12 +396,81 @@ def _explore_syn(inst: Instance, sol: Solution, budget0: int, state_cap: int):
     cp = Compiled(inst, sol)
     if cp.settled(cp.init):
         return 0, None
+    status, vertex, watched = cp.status, cp.vertex, cp.watched
+    nowhere = (0,) * len(cp.init)
+    runs: dict = {}  # configuration -> run_masks(configuration)
+
+    def run_masks(cfg):
+        """Each agent's (later, watched) vertex masks along the crash-free
+        run from ``cfg``: the vertices it stands on after ``cfg``, and those
+        its rules watch in the rounds they are evaluated. None unless the
+        run settles with no collision and no repeated configuration."""
+        chain = []
+        on_chain = set()
+        c = cfg
+        while True:
+            if c in runs:
+                tail = runs[c]
+                break
+            if cp.settled(c):
+                tail = nowhere, nowhere
+                break
+            if c in on_chain:
+                tail = None
+                break
+            on_chain.add(c)
+            chain.append(c)
+            c, coll = step_syn(cp, c)
+            if coll is not None:
+                tail = None
+                break
+        for prev in reversed(chain):
+            if tail is not None:
+                later, watch = tail
+                tail = (tuple(m | 1 << vertex[d] for m, d in zip(later, c)),
+                        tuple(m | watched[d] for m, d in zip(watch, prev)))
+            runs[prev] = tail
+            c = prev
+        return runs[cfg]
+
+    def noticed_by(cfg):
+        """For each agent b, the mask of the other agents that would notice
+        b crashing now and spending the last of the budget, or None if the
+        crash-free run from ``cfg`` is not safe. Agent a notices when it
+        later stands on b's vertex, or a rule it evaluates watches a vertex
+        b holds now or later on the crash-free run."""
+        masks = run_masks(cfg)
+        if masks is None:
+            return None
+        later, watch = masks
+        here = [1 << vertex[c] for c in cfg]
+        out = []
+        for b, bit in enumerate(here):
+            held = later[b] | bit
+            out.append(sum(1 << a for a in range(len(cfg))
+                           if a != b and (later[a] & bit or watch[a] & held)))
+        return out
 
     def moves(state):
         # settled states end the run, so they stay out of the graph; the
         # crash-free step comes first, as it is the empty crash set
         cfg, budget = state
-        for crash_set in _crash_subsets(cp.status, cfg, budget):
+        live = budget and sum(1 << a for a, c in enumerate(cfg) if status[c] == CORRECT_ST)
+        noticed = ()  # noticed_by(cfg), once a crash set needs it
+        for crash_set in _crash_subsets(status, cfg, budget):
+            if crash_set:
+                crashing = sum(1 << a for a in crash_set)
+                if crashing & live == live:
+                    continue  # nobody correct is left, so the run settles
+                if len(crash_set) == budget:
+                    if noticed == ():
+                        noticed = noticed_by(cfg)
+                    if noticed is not None:
+                        seen_by = 0
+                        for b in crash_set:
+                            seen_by |= noticed[b]
+                        if not seen_by & ~crashing:
+                            continue  # as safe as the crash-free run
             nxt, coll = step_syn(cp, cfg, crash_set)
             if coll is not None or not cp.settled(nxt):
                 yield crash_set, (nxt, budget - len(crash_set)), coll

@@ -4,7 +4,8 @@ Everything here works straight off the adjacency lists with plain
 recursion, on purpose: these functions double-check the package's
 search code, so they must not share any of it. The reference stepping at
 the end shares only the execution module's state and collision types and
-its two lookup helpers.
+its two lookup helpers, and the crash-tree search after it steps with the
+reference stepping alone.
 """
 
 import itertools
@@ -357,3 +358,64 @@ def crash_seq(inst, sol, states, a, trace=None):
     if trace is not None:
         trace.note(f"crash agent={a} at={vertex_of(sol, a, out[a])}")
     return tuple(out)
+
+
+def syn_survives(inst, sol, f):
+    """Does a synchronous plan survive every crash pattern within budget ``f``?
+
+    Searches the whole crash tree with the reference ``step_syn``: in every
+    round it branches on every set of not yet crashed agents within the
+    remaining budget, until the run settles (safe), collides, or repeats a
+    configuration of its own branch. Crashes cannot be undone, so a repeat
+    is a crash-free cycle: the adversary keeps the run on it forever and
+    an agent still correct never finishes. A (configuration, budget) pair
+    whose whole subtree survived is not searched again.
+    """
+    safe = set()
+
+    def survives(states, budget, branch):
+        if all(st.status != CORRECT_ST for st in states) or (states, budget) in safe:
+            return True
+        if states in branch:
+            return False
+        branch = branch | {states}
+        alive = [a for a, st in enumerate(states) if st.status != CRASHED_ST]
+        for k in range(min(budget, len(alive)) + 1):
+            for crash in itertools.combinations(alive, k):
+                nxt, coll = step_syn(inst, sol, states, frozenset(crash))
+                if coll is not None or not survives(nxt, budget - k, branch):
+                    return False
+        safe.add((states, budget))
+        return True
+
+    return survives(init_states(inst, sol), f, frozenset())
+
+
+def syn_fewest_collision_rounds(inst, sol, f):
+    """The fewest rounds after which some crash pattern within budget ``f``
+    makes a synchronous plan collide, or None if none does.
+
+    Breadth-first over the rounds with the reference ``step_syn``: each
+    level holds the (configuration, remaining budget) pairs reachable in
+    that many rounds and not met before. Settled runs end.
+    """
+    level = {(init_states(inst, sol), f)}
+    seen = set(level)
+    rounds = 0
+    while level:
+        rounds += 1
+        following = set()
+        for states, budget in level:
+            if all(st.status != CORRECT_ST for st in states):
+                continue
+            alive = [a for a, st in enumerate(states) if st.status != CRASHED_ST]
+            for k in range(min(budget, len(alive)) + 1):
+                for crash in itertools.combinations(alive, k):
+                    nxt, coll = step_syn(inst, sol, states, frozenset(crash))
+                    if coll is not None:
+                        return rounds
+                    if (nxt, budget - k) not in seen:
+                        seen.add((nxt, budget - k))
+                        following.add((nxt, budget - k))
+        level = following
+    return None

@@ -148,6 +148,20 @@ class TestSolveVerifyFlow:
         assert code == 1
         assert capsys.readouterr().out.strip().splitlines()[-1].startswith("too_large")
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--f", "-1", "crash budget f must be None or an int >= 0, got -1"),
+        ("--state-cap", "-4", "state_cap must be an int >= 0, got -4"),
+    ])
+    def test_negative_budget_or_cap_is_an_error(self, tmp_path, capsys, flag, value, named):
+        inst = gen_fixture(tmp_path, "fig6")
+        ref = tmp_path / "fig6.instance.ref-syn-nfd.json"
+        capsys.readouterr()
+        code = run_cli("verify", "--instance", str(inst), "--solution", str(ref), flag, value)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {named}\n"
+        assert captured.out == ""
+
     def test_identical_invocations_identical_artifacts(self, tmp_path):
         inst = gen_fixture(tmp_path, "fig6")
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -31,7 +31,7 @@ def bench(monkeypatch):
 
 
 @pytest.mark.parametrize("workload, expected", [
-    ("syn-dcrf-16", "3e73fc0a9bd3bdb2"),
+    ("syn-dcrf-16", "7e80b9ef61ac36e3"),
     ("cbs-disjoint-8", "911339f27f6a8380"),
     ("seq-verify-8", "c0345dfe54f4fd3f"),
 ])

@@ -1,9 +1,11 @@
 """Exhaustive verifier: accepts the reference plans, refutes broken ones."""
 
 import dataclasses
+import importlib
 import random
 
 import pytest
+from oracles import syn_fewest_collision_rounds, syn_survives
 
 from mappcf.core import (
     AFD,
@@ -12,6 +14,7 @@ from mappcf.core import (
     NFD,
     SEQ,
     SYN,
+    VACANT,
     Graph,
     Instance,
     Plan,
@@ -35,6 +38,8 @@ from mappcf.verify import (
     verify_seq,
     verify_syn,
 )
+
+verify_module = importlib.import_module("mappcf.verify")  # ``mappcf.verify`` is the function
 
 
 def strip_rules(sol, agent):
@@ -82,7 +87,7 @@ class TestReferenceSolutions:
         fx = fixture("fig1")
         r = verify_syn(fx.instance, fx.solutions[0], f=1)
         assert r.ok and r.status == "verified"
-        assert r.states_explored == 6
+        assert r.states_explored == 5
 
     def test_two_corridor_seq(self):
         fx = fixture("fig1")
@@ -94,12 +99,12 @@ class TestReferenceSolutions:
         fx = fixture("fig3")
         r = verify_syn(fx.instance, fx.solutions[0], f=1)
         assert r.ok
-        assert r.states_explored == 12
+        assert r.states_explored == 9
 
     def test_three_agent_syn(self):
         fx = fixture("fig6")
-        assert verify_syn(fx.instance, fx.solutions[0], f=1).states_explored == 10
-        assert verify_syn(fx.instance, fx.solutions[0], f=2).states_explored == 16
+        assert verify_syn(fx.instance, fx.solutions[0], f=1).states_explored == 8
+        assert verify_syn(fx.instance, fx.solutions[0], f=2).states_explored == 14
 
     def test_hexagon_seq(self):
         fx = fixture("seq_anonymous")
@@ -317,6 +322,19 @@ class TestGuards:
         fx = fixture("fig1")
         assert verify(fx.instance, fx.solutions[0]).f == 1
 
+    @pytest.mark.parametrize("check", [verify, verify_syn, verify_seq])
+    @pytest.mark.parametrize("f, state_cap, named", [
+        (-1, DEFAULT_STATE_CAP, "f must be None or an int >= 0, got -1"),
+        (1.0, DEFAULT_STATE_CAP, "f must be None or an int >= 0, got 1.0"),
+        (True, DEFAULT_STATE_CAP, "f must be None or an int >= 0, got True"),
+        (1, -4, "state_cap must be an int >= 0, got -4"),
+        (None, None, "state_cap must be an int >= 0, got None"),
+    ])
+    def test_bad_budget_or_cap_is_an_error(self, check, f, state_cap, named):
+        fx = fixture("fig1")
+        with pytest.raises(ValueError, match=named):
+            check(fx.instance, fx.solutions[0], f=f, state_cap=state_cap)
+
 
 class TestGroupsAgreeWithWholeInstance:
     def test_split_verdicts_equal_single_group_verdicts(self):
@@ -372,3 +390,152 @@ class TestGroupsAgreeWithWholeInstance:
                 check(inst, Solution(SEQ, NFD, tuple(Plan((p,)) for p in paths)))
         assert cases >= 2000
         assert refuted >= 100 and split >= 200 and split_refuted >= 50
+
+
+def quiet_later_watch(trigger_rules, primary):
+    """Agent 0 walks 0-1-2-3; agent 1 stands on 4 after round 2 and checks
+    vertex 2 in round 3, where agent 0 stands then if nobody crashes."""
+    g = Graph.build(8, [(0, 1), (1, 2), (2, 3), (6, 4), (4, 2), (4, 7)])
+    inst = Instance(graph=g, starts=(0, 6), goals=(3, 7), f=1)
+    rules = tuple(TransitionRule(from_path=0, at_index=3, watch=2, trigger=t, to_path=p)
+                  for t, p in trigger_rules)
+    paths = (primary, (4,), (4, 7))
+    return inst, Solution(SYN, NFD, (Plan(((0, 1, 2, 3),)), Plan(paths, rules)))
+
+
+def quiet_crash_vertex():
+    """Agent 1 checks vertex 1 in round 2, while agent 0 passes it, and
+    dodges onto a dead end if agent 0 lies crashed there."""
+    g = Graph.build(6, [(0, 1), (1, 2), (4, 3), (3, 5), (1, 3)])
+    inst = Instance(graph=g, starts=(0, 4), goals=(2, 5), f=1)
+    rule = TransitionRule(from_path=0, at_index=2, watch=1, trigger=crashed(0), to_path=1)
+    return inst, Solution(SYN, NFD, (Plan(((0, 1, 2),)), Plan(((4, 3, 5), (3,)), (rule,))))
+
+
+def quiet_late_visit():
+    """Agent 1 walks through vertex 0 three rounds after agent 0 left it."""
+    g = Graph.build(6, [(0, 1), (2, 3), (3, 4), (4, 0), (0, 5)])
+    inst = Instance(graph=g, starts=(0, 2), goals=(1, 5), f=1)
+    return inst, Solution(SYN, NFD, (Plan(((0, 1),)), Plan(((2, 3, 4, 0, 5),))))
+
+
+def quiet_then_loud(f):
+    """Agent 0 steps off vertex 0 in round 1 and nobody looks there again,
+    unless agent 1 is seen crashed on vertex 4 in round 3: then agent 2
+    dodges through vertex 0."""
+    g = Graph.build(10, [(0, 1), (2, 3), (3, 4), (4, 5), (7, 8), (8, 6), (6, 9),
+                         (6, 4), (6, 0), (0, 9)])
+    inst = Instance(graph=g, starts=(0, 2, 7), goals=(1, 5, 9), f=f)
+    rule = TransitionRule(from_path=0, at_index=3, watch=4, trigger=crashed(1), to_path=1)
+    return inst, Solution(SYN, NFD, (
+        Plan(((0, 1),)),
+        Plan(((2, 3, 4, 5),)),
+        Plan(((7, 8, 6, 9), (6, 0, 9)), (rule,)),
+    ))
+
+
+class TestSkippedCrashesAgainstCrashTree:
+    """The synchronous explorer skips crash steps nobody can notice; the
+    crash-tree oracle branches on every crash set and skips nothing."""
+
+    def check(self, inst, sol, f):
+        """``verify_syn`` agrees with the oracles: the verdict, and a
+        collision whenever one can happen, in the fewest rounds."""
+        r = verify_syn(inst, sol, f=f)
+        assert r.ok == syn_survives(inst, sol, f), (inst, sol, f)
+        if not r.ok:
+            ce = r.counterexample
+            out = run_syn(inst, sol, ce.crash_times)
+            assert out.outcome == ce.kind, (inst, sol, f, ce)
+            rounds = syn_fewest_collision_rounds(inst, sol, f)
+            assert (ce.kind == "collision") == (rounds is not None), (inst, sol, f, ce)
+            assert rounds is None or out.steps == rounds, (inst, sol, f, ce)
+        return r
+
+    @pytest.mark.parametrize("trigger_rules, primary", [
+        (((VACANT, 1),), (6, 6, 4, 7)),  # vacant: a dead end
+        (((CORRECT, 2), (crashed(0), 2)), (6, 6, 4)),  # anything but vacant: the goal
+    ])
+    def test_rule_watching_where_the_crashed_agent_would_pass(self, trigger_rules, primary):
+        # agent 0 crashing in round 1 or 2 leaves vertex 2 vacant when
+        # agent 1 looks; crashing in round 3 on vertex 2 is harmless
+        inst, sol = quiet_later_watch(trigger_rules, primary)
+        assert verify_syn(inst, sol, f=0).ok
+        ce = self.check(inst, sol, 1).counterexample
+        assert ce.kind == "stuck" and ce.agents == (1,) and ce.crash_times == {0: 1}
+
+    def test_rule_watching_the_crash_vertex(self):
+        inst, sol = quiet_crash_vertex()
+        ce = self.check(inst, sol, 1).counterexample
+        assert ce.kind == "stuck" and ce.crash_times == {0: 2}
+
+    def test_survivor_walks_onto_the_crash_vertex_later(self):
+        inst, sol = quiet_late_visit()
+        ce = self.check(inst, sol, 1).counterexample
+        assert ce.kind == "collision" and ce.agents == (0, 1) and ce.crash_times == {0: 1}
+
+    def test_crashes_explored_where_the_crash_free_run_is_stuck(self):
+        # agent 0 stops short of its goal, so the crash-free run is stuck;
+        # crashing agent 0 in round 1 still ends in the sooner collision
+        inst, sol = quiet_late_visit()
+        g = Graph.build(7, inst.graph.edges() + [(1, 6)])
+        inst = dataclasses.replace(inst, graph=g, goals=(6, 5))
+        assert verify_syn(inst, sol, f=0).counterexample.kind == "stuck"
+        ce = self.check(inst, sol, 1).counterexample
+        assert ce.kind == "collision" and ce.crash_times == {0: 1}
+
+    def test_crash_set_below_the_budget(self):
+        # the round-1 crash of agent 0 alone changes nothing, but it must
+        # still be explored while a second crash is left
+        assert self.check(*quiet_then_loud(1), 1).ok
+        ce = self.check(*quiet_then_loud(2), 2).counterexample
+        assert ce.kind == "collision" and ce.crash_times == {0: 1, 1: 3}
+
+    def test_lone_agent_steps_once_per_state(self, monkeypatch):
+        # crashing a group's last correct agent settles it, so that step is
+        # never taken, and a one-agent group never runs its crash-free run
+        # ahead: each state takes only its crash-free step
+        calls = []
+        step_syn = verify_module.step_syn
+
+        def counting(*args):
+            calls.append(args)
+            return step_syn(*args)
+
+        monkeypatch.setattr(verify_module, "step_syn", counting)
+        inst, sol = walker(SYN, NFD)
+        r = verify_syn(dataclasses.replace(inst, f=1), sol)
+        assert r.ok and r.states_explored == 2 and len(calls) == 2
+
+    def test_verdicts_equal_the_crash_tree(self):
+        # dcrf plans, the same plans with one rule dropped, and the bare
+        # primaries, at f from 0 to 2 under both detectors
+        cells = [(c, r) for r in range(4) for c in range(4)]
+        cases = refuted = mutants = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            g = grid_graph(4, 4, obstacles=frozenset(rng.sample(cells, 3)))
+            try:
+                inst = gen_well_formed(g, rng.randint(3, 5), rng.randint(1, 2), seed,
+                                       max_tries=200)
+            except GiveUp:
+                continue
+            for fd in (NFD, AFD):
+                res = solve(inst, SolverConfig(model=SYN, fd=fd, seed=seed, deadline=10.0))
+                if res.solution is None:
+                    continue
+                sol = res.solution
+                bare = dataclasses.replace(sol, plans=tuple(Plan(p.paths[:1]) for p in sol.plans))
+                sols = [sol] if bare == sol else [sol, bare]
+                for a, plan in enumerate(sol.plans):
+                    for i in range(len(plan.rules)):
+                        plans = list(sol.plans)
+                        plans[a] = dataclasses.replace(
+                            plan, rules=plan.rules[:i] + plan.rules[i + 1:])
+                        sols.append(dataclasses.replace(sol, plans=tuple(plans)))
+                        mutants += 1
+                for s in sols:
+                    for f in range(3):
+                        cases += 1
+                        refuted += not self.check(inst, s, f).ok
+        assert cases >= 1000 and refuted >= 250 and mutants >= 80
