@@ -45,17 +45,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import (
-    CORRECT,
-    NFD,
-    SEQ,
-    SYN,
-    VACANT,
-    Instance,
-    Observation,
-    Solution,
-    crashed,
-)
+from .core import NFD, SEQ, SYN, Instance, Solution
 
 CORRECT_ST = "correct"
 CRASHED_ST = "crashed"
@@ -72,37 +62,6 @@ class AgentState(NamedTuple):
     path: int
     progress: int  # 1-based index into the current path
     status: str
-
-
-def vertex_of(sol: Solution, a: int, st: AgentState) -> int:
-    return sol.plans[a].paths[st.path][st.progress - 1]
-
-
-def init_states(inst: Instance, sol: Solution) -> "tuple[AgentState, ...]":
-    cp = Compiled(inst, sol)
-    return cp.decode(cp.init)
-
-
-def occupancy(sol: Solution, states) -> "dict[int, tuple[int, str]]":
-    occ = {}
-    for a, st in enumerate(states):
-        occ[vertex_of(sol, a, st)] = (a, st.status)
-    return occ
-
-
-def observe(inst: Instance, sol: Solution, states, agent: int) -> "dict[int, Observation]":
-    """Failure-detector view of the given agent's neighbourhood."""
-    occ = occupancy(sol, states)
-    out = {}
-    for v in inst.graph.adj[vertex_of(sol, agent, states[agent])]:
-        a, status = occ.get(v, (None, None))
-        if status is None:
-            out[v] = VACANT
-        elif status == CRASHED_ST:
-            out[v] = crashed(a if sol.fd == NFD else None)
-        else:
-            out[v] = CORRECT
-    return out
 
 
 def _trigger_code(fd: str, trigger) -> "int | None":

@@ -13,17 +13,16 @@ try is unbounded. That try, when no path exists, stops as soon as the
 set of reachable vertices repeats after the last reservation: from then
 on every step is the same, so the set, and the verdict, would repeat up
 to the horizon.
-``find_path_seq_cuts`` finds the shortest simple path avoiding a
+``find_path_seq_mask`` finds the shortest simple path avoiding a
 forbidden vertex set, with the same tie-breaks, from a single BFS toward
 the goal: a step stays on a shortest path exactly when it lowers the
 distance to the goal by one. It returns that path together with its cut
 set, the vertices every such shortest path must visit, and
 ``must_visit_mask`` scans a path for the vertices every route at all must
 visit. Each has one implementation, which gives its vertex sets as int
-bitmasks (bit v = vertex v), the form the disjoint CBS keeps them in:
-``find_path_seq_mask`` and ``must_visit_mask`` take and give bitmasks;
-``find_path_seq``, ``find_path_seq_cuts`` and ``must_visit`` are thin
-adapters for callers that hold Python sets.
+bitmasks (bit v = vertex v), the form the disjoint CBS keeps them in.
+``find_path_seq`` is the path-only adapter for callers that hold Python
+sets.
 
 Both shortest-path searches settle their tie-breaks in one backward pass
 over their layers, which keeps each vertex's best step; the path then
@@ -286,22 +285,27 @@ def _grow(adj, pred, start, goal, start_time, res, blocked, bound, dist):
 
 
 def find_path_seq(graph: Graph, start: int, goal: int, forbidden=frozenset(), penalty=frozenset()):
-    """The path of :func:`find_path_seq_cuts`, without its cut set."""
-    return _find_path_seq(graph, start, goal, forbidden, vertex_mask(penalty))[0]
-
-
-def find_path_seq_cuts(
-    graph: Graph, start: int, goal: int, forbidden=frozenset(), penalty=frozenset()
-):
-    """Shortest simple path avoiding ``forbidden``, lexicographically smallest,
-    and the path's cut set.
+    """Shortest simple path avoiding the vertex set ``forbidden``,
+    lexicographically smallest, or None when no path exists.
 
     Among equally short paths, one entering the fewest ``penalty`` vertices
     is preferred (ties again broken lexicographically); with an empty
     penalty set this is the plain lex-first shortest path. Follows edge
-    direction on directed graphs. Returns ``(path, cuts)``, or
-    ``(None, frozenset())`` when no path exists. ``start == goal`` yields
-    the single-vertex path.
+    direction on directed graphs. ``start == goal`` yields the
+    single-vertex path. The vertex-set adapter of the kernel
+    :func:`_find_path_seq`; :func:`find_path_seq_mask` is its bitmask form,
+    which also gives the path's cut set.
+    """
+    return _find_path_seq(graph, start, goal, forbidden, vertex_mask(penalty))[0]
+
+
+def find_path_seq_mask(graph: Graph, start: int, goal: int, forbidden: int = 0, penalty: int = 0):
+    """The path of :func:`find_path_seq` and its cut set, over vertex
+    bitmasks (bit v = vertex v, see :func:`~mappcf.core.vertex_mask`), the
+    form the disjoint CBS keeps its sets in: ``(path, path_mask, cuts)``
+    with the path's vertex set and its cut set as bitmasks, or
+    ``(None, 0, 0)`` when no path exists. ``forbidden`` and ``penalty``
+    are bitmasks too.
 
     ``cuts`` holds the vertices that are alone in their layer of the
     shortest-path DAG, the start and the goal included (the goal is a layer
@@ -310,26 +314,14 @@ def find_path_seq_cuts(
     ``forbidden`` visits: forbidding one of them as well makes the path
     longer or impossible, and forbidding any other vertex leaves its length
     unchanged.
-
-    The vertex-set adapter of the kernel :func:`_find_path_seq`;
-    :func:`find_path_seq_mask` is its bitmask form.
     """
-    path, cuts = _find_path_seq(graph, start, goal, forbidden, vertex_mask(penalty))
-    return path, frozenset(mask_vertices(cuts))
-
-
-def find_path_seq_mask(graph: Graph, start: int, goal: int, forbidden: int = 0, penalty: int = 0):
-    """:func:`find_path_seq_cuts` over vertex bitmasks (bit v = vertex v, see
-    :func:`~mappcf.core.vertex_mask`), the form the disjoint CBS keeps its
-    sets in: ``(path, path_mask, cuts)`` with the path's vertex set and its
-    cut set as bitmasks, or ``(None, 0, 0)`` when no path exists."""
     path, cuts = _find_path_seq(graph, start, goal, mask_vertices(forbidden), penalty)
     return path, (0 if path is None else vertex_mask(path)), cuts
 
 
 def _find_path_seq(graph: Graph, start: int, goal: int, walls, penalty: int):
-    """The one search behind :func:`find_path_seq`, :func:`find_path_seq_cuts`
-    and :func:`find_path_seq_mask`: ``(path, cuts)``, ``cuts`` a bitmask, or
+    """The one search behind :func:`find_path_seq` and
+    :func:`find_path_seq_mask`: ``(path, cuts)``, ``cuts`` a bitmask, or
     ``(None, 0)``.
 
     ``walls`` yields the forbidden vertices and ``penalty`` is a bitmask.
@@ -389,11 +381,6 @@ def _find_path_seq(graph: Graph, start: int, goal: int, walls, penalty: int):
     return tuple(out), cuts
 
 
-def must_visit(graph: Graph, path: Path, forbidden=frozenset()) -> frozenset:
-    """:func:`must_visit_mask` over vertex sets."""
-    return frozenset(mask_vertices(must_visit_mask(graph, path, vertex_mask(forbidden))))
-
-
 def must_visit_mask(graph: Graph, path: Path, forbidden: int = 0) -> int:
     """The vertices every route from ``path[0]`` to ``path[-1]`` avoiding
     ``forbidden`` visits, the start and the goal included, as a bitmask.
@@ -402,8 +389,7 @@ def must_visit_mask(graph: Graph, path: Path, forbidden: int = 0) -> int:
     so all of these vertices lie on it (they are the goal's dominators from
     the start). They are a subset of the cut set of
     :func:`find_path_seq_mask`, which only asks about shortest routes.
-    Follows edge direction on directed graphs. This is the one
-    implementation; :func:`must_visit` is its adapter over vertex sets.
+    Follows edge direction on directed graphs.
 
     One search from the start, O(V+E): ``m`` is the furthest path index
     touched so far, and the search expands every touched vertex except

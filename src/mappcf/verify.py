@@ -52,14 +52,16 @@ those of the full graph. The first colliding step, the shortest walk to
 it and the first cycle of crash-free steps are therefore the same:
 verdicts and counterexamples equal those of the full graph.
 
-``states_explored`` counts the states of the graph that was built: for
+``states_explored`` counts the states of the graphs that were built: for
 the synchronous model the distinct unsettled (configuration, budget)
 pairs of the reduced graph, for the sequential model every reachable
-pair. On a verified plan that is the whole reachable (reduced) graph; on
-a refuted synchronous plan the build stops at the witness, so the count
-covers only what was built by then. A witness prefix is a shortest walk
-in its group's graph, so a synchronous collision comes with the fewest
-rounds that reach one.
+pair. On a verified plan that is the whole reachable (reduced) graph of
+each explored group; on a refuted synchronous plan the build stops at
+the witness, so the count covers only what was built by then. A group
+decided by inspection (a lone agent, see below) builds no graph and
+counts 0 states. A witness prefix is a shortest walk in its group's
+graph, so a synchronous collision comes with the fewest rounds that
+reach one.
 
 Both verifiers explore each group of interacting agents on its own. Let
 V(a) be the vertices on all of agent a's paths and W(a) the vertices its
@@ -95,9 +97,23 @@ therefore sound and complete:
   correct and unfinished there. So that component is a fair livelock for
   the group, and the group is refuted too.
 
-The state cap bounds the total over all groups, and ``states_explored`` is
-that total. Refutations come with a concrete counterexample in the
-instance's agent numbering that replays through the execution module.
+A group of one agent is decided without exploring when its primary path
+ends at its goal and none of its rules has a ``vacant`` trigger. Alone,
+the agent sees every vertex it watches vacant (the plan passed the
+structure check, so a watched vertex is adjacent to the agent's own, and
+graphs have no self-loops). So no ``correct`` or ``crashed`` trigger
+fires and it walks its primary to the goal: there is nobody to collide
+with, a sequential next vertex is always free, and if the agent crashes
+no correct agent is left to fail. The explorer finds no fault in such a
+group, so it is verified with 0 states. Every other group is explored,
+including a lone agent whose primary stops short of its goal or that has
+a vacant rule, so verdicts and counterexamples are those of exploring
+every group.
+
+The state cap bounds the total over the explored groups, and
+``states_explored`` is that total. Refutations come with a concrete
+counterexample in the instance's agent numbering that replays through
+the execution module.
 """
 
 from __future__ import annotations
@@ -142,6 +158,13 @@ class Counterexample:
 
 @dataclass
 class VerifyResult:
+    """The verdict on a plan under crash budget ``f``.
+
+    ``states_explored`` is the total number of states of the explored
+    groups' state graphs (see the module docstring); a lone agent decided
+    by inspection adds 0, so a plan of such agents alone reports 0.
+    """
+
     status: str  # "verified" | "refuted" | "too_large"
     model: str
     f: int
@@ -273,12 +296,23 @@ def _round_robin(inst: Instance, sol: Solution, group) -> "tuple[list, list]":
         seen[cfg] = rounds
 
 
+def _walks_alone(inst: Instance, sol: Solution, a: int) -> bool:
+    """Agent ``a``, alone in its group, arrives unless it crashes, whatever
+    the adversary does: its primary ends at its goal and no rule has a
+    vacant trigger, the only kind that fires for a lone agent (see the
+    module docstring)."""
+    plan = sol.plans[a]
+    return plan.paths[0][-1] == inst.goals[a] and all(
+        r.trigger.kind != "vacant" for r in plan.rules)
+
+
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _verify_split(inst, sol, model, f, state_cap, explore) -> VerifyResult:
-    """Run ``explore`` on each interaction group with the full budget.
+    """Run ``explore`` on each interaction group with the full budget,
+    except the lone agents ``_walks_alone`` decides.
 
     ``explore(inst, sol, budget, cap)`` returns (states explored,
     counterexample or None) or raises ``_TooLarge(states explored)``.
@@ -294,6 +328,8 @@ def _verify_split(inst, sol, model, f, state_cap, explore) -> VerifyResult:
     groups = interaction_components(sol)
     total = 0
     for ids in groups:
+        if len(ids) == 1 and _walks_alone(inst, sol, ids[0]):
+            continue
         sub_inst, sub_sol = _restrict(inst, sol, ids)
         try:
             explored, ce = explore(sub_inst, sub_sol, budget, state_cap - total)
@@ -388,6 +424,8 @@ def verify_syn(
     build meets it. Otherwise the plan is stuck if the graph has a cycle:
     crashes spend budget, so a cycle takes crash-free steps only, and the
     adversary can keep the run on it forever without crashing anyone else.
+    A lone agent that walks its primary to its goal is decided without a
+    graph and counts 0 states.
     """
     return _verify_split(inst, sol, SYN, f, state_cap, _explore_syn)
 
@@ -516,7 +554,9 @@ def verify_seq(
     (configuration, remaining budget) pair, settled ones included, and one
     step per activation or crash. Then looks for (a) a reachable
     configuration from which some correct agent's goal states are
-    unreachable, and (b) a fair livelock cycle.
+    unreachable, and (b) a fair livelock cycle. A lone agent that walks
+    its primary to its goal is decided without a graph and counts 0
+    states.
     """
     return _verify_split(inst, sol, SEQ, f, state_cap, _explore_seq)
 

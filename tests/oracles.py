@@ -2,24 +2,24 @@
 
 Everything here works straight off the adjacency lists with plain
 recursion, on purpose: these functions double-check the package's
-search code, so they must not share any of it. The reference stepping at
-the end shares only the execution module's state and collision types and
-its two lookup helpers, and the crash-tree search after it steps with the
-reference stepping alone.
+search code, so they must not share any of it. The reference stepping
+shares only the execution module's state and collision types, and the
+crash-tree search after it steps with the reference stepping alone. The
+vertex-set adapters at the end are the one exception: they call the
+package's bitmask kernels, for tests that state their cases in sets.
 """
 
 import itertools
 
-from mappcf.core import CORRECT, NFD, VACANT, crashed
+from mappcf.core import CORRECT, NFD, VACANT, crashed, mask_vertices, vertex_mask
 from mappcf.execution import (
     CORRECT_ST,
     CRASHED_ST,
     DONE_ST,
     AgentState,
     Collision,
-    occupancy,
-    vertex_of,
 )
+from mappcf.pathfind import find_path_seq_mask, must_visit_mask
 
 
 def simple_paths(graph, s, t):
@@ -226,6 +226,18 @@ def must_visit_vertices(graph, s, t, forbidden=frozenset()):
 # compares ``Observation`` objects.
 
 
+def vertex_of(sol, a, st):
+    return sol.plans[a].paths[st.path][st.progress - 1]
+
+
+def occupancy(sol, states):
+    """Vertex -> (agent, status) of the agent standing there."""
+    occ = {}
+    for a, st in enumerate(states):
+        occ[vertex_of(sol, a, st)] = (a, st.status)
+    return occ
+
+
 def init_states(inst, sol):
     out = []
     for a in inst.agents():
@@ -245,6 +257,13 @@ def observe_vertex(occ, fd, v):
     if status == CRASHED_ST:
         return crashed(a if fd == NFD else None)
     return CORRECT
+
+
+def observe(inst, sol, states, agent):
+    """Failure-detector view of the given agent's neighbourhood."""
+    occ = occupancy(sol, states)
+    return {v: observe_vertex(occ, sol.fd, v)
+            for v in inst.graph.adj[vertex_of(sol, agent, states[agent])]}
 
 
 def _fire_rule(sol, a, st, occ):
@@ -419,3 +438,19 @@ def syn_fewest_collision_rounds(inst, sol, f):
                         following.add((nxt, budget - k))
         level = following
     return None
+
+
+# --- vertex-set adapters ---------------------------------------------------
+
+
+def find_path_seq_cuts(graph, start, goal, forbidden=frozenset(), penalty=frozenset()):
+    """``pathfind.find_path_seq_mask`` over vertex sets: (path, cut set), or
+    (None, frozenset()) when no path exists."""
+    path, _, cuts = find_path_seq_mask(graph, start, goal, vertex_mask(forbidden),
+                                       vertex_mask(penalty))
+    return path, frozenset(mask_vertices(cuts))
+
+
+def must_visit(graph, path, forbidden=frozenset()):
+    """``pathfind.must_visit_mask`` over vertex sets."""
+    return frozenset(mask_vertices(must_visit_mask(graph, path, vertex_mask(forbidden))))

@@ -3,17 +3,10 @@
 import dataclasses
 
 import pytest
+from oracles import init_states, observe, occupancy, vertex_of
 
 from mappcf.core import AFD, NFD, SEQ, SYN, Plan, Solution, crashed
-from mappcf.execution import (
-    init_states,
-    observe,
-    occupancy,
-    run,
-    run_seq,
-    run_syn,
-    vertex_of,
-)
+from mappcf.execution import Compiled, run, run_seq, run_syn
 from mappcf.gen import fixture
 
 
@@ -26,7 +19,8 @@ def fig1():
 class TestInitAndObserve:
     def test_initial_states(self, fig1):
         inst, syn, _ = fig1
-        sts = init_states(inst, syn)
+        cp = Compiled(inst, syn)
+        sts = cp.decode(cp.init)
         assert [vertex_of(syn, a, st) for a, st in enumerate(sts)] == [0, 3]
         assert all(st.progress == 1 and st.status == "correct" for st in sts)
 

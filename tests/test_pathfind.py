@@ -10,14 +10,18 @@ from mappcf.gen import grid_graph
 from mappcf.pathfind import (
     Reservations,
     find_path_seq,
-    find_path_seq_cuts,
     find_path_seq_mask,
     find_path_syn,
     goal_distances,
-    must_visit,
     must_visit_mask,
 )
-from oracles import best_timed_walk, must_visit_vertices, simple_paths
+from oracles import (
+    best_timed_walk,
+    find_path_seq_cuts,
+    must_visit,
+    must_visit_vertices,
+    simple_paths,
+)
 
 
 def random_connected_graph(rng, n):

@@ -31,9 +31,9 @@ def bench(monkeypatch):
 
 
 @pytest.mark.parametrize("workload, expected", [
-    ("syn-dcrf-16", "7e80b9ef61ac36e3"),
-    ("cbs-disjoint-8", "911339f27f6a8380"),
-    ("seq-verify-8", "c0345dfe54f4fd3f"),
+    ("syn-dcrf-16", "717968d9afc1bf37"),
+    ("cbs-disjoint-8", "64d1d799a3ae47fa"),
+    ("seq-verify-8", "d84ae22bbc44ba2d"),
 ])
 def test_digest_is_pinned(bench, workload, expected):
     m = bench.load_package()

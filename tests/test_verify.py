@@ -25,6 +25,7 @@ from mappcf.core import (
     validate_solution,
 )
 from mappcf.dcrf import SolverConfig, solve
+from mappcf.disjoint import solve_disjoint
 from mappcf.execution import CORRECT_ST, run_seq, run_syn
 from mappcf.fileio import parse_map
 from mappcf.gen import GiveUp, fixture, gen_well_formed, grid_graph
@@ -33,6 +34,7 @@ from mappcf.verify import (
     DEFAULT_STATE_CAP,
     _explore_seq,
     _explore_syn,
+    _restrict,
     interaction_components,
     verify,
     verify_seq,
@@ -80,6 +82,17 @@ def walker(model, fd):
     """One agent walking a three-vertex line on its own."""
     inst = Instance(graph=Graph.build(3, [(0, 1), (1, 2)]), starts=(0,), goals=(2,), f=0)
     return inst, Solution(model, fd, (Plan(((0, 1, 2),)),))
+
+
+def explored_per_group(explore, inst, sol, f):
+    """The states ``explore`` builds over every interaction group, lone
+    agents included, each group verified with budget ``f``."""
+    total = 0
+    for ids in interaction_components(sol):
+        states, ce = explore(*_restrict(inst, sol, ids), f, DEFAULT_STATE_CAP)
+        assert ce is None, (ids, ce)
+        total += states
+    return total
 
 
 class TestReferenceSolutions:
@@ -301,14 +314,24 @@ class TestGuards:
         inst = gen_well_formed(g, 6, 2, 2)
         res = solve(inst, SolverConfig(model=SEQ, fd=NFD, seed=2))
         assert res.status == "solved"
+        assert explored_per_group(_explore_seq, inst, res.solution, inst.f) == 164
+        # each group is a lone agent on its primary, decided by inspection
         r = verify(inst, res.solution)
-        assert r.ok and r.states_explored == 164
+        assert r.ok and r.states_explored == 0
 
     def test_cap_bounds_the_total_over_groups(self):
         fx = fixture("seq_anonymous")
         inst, sol = side_by_side(walker(SEQ, NFD), (fx.instance, fx.solutions[0]))
+        assert explored_per_group(_explore_seq, inst, sol, 2) > 287
+        # the walker is decided by inspection, so only seq_anonymous counts
+        assert verify_seq(inst, sol, f=2).states_explored == 287
+        # two explored groups: seq_anonymous side by side with itself
+        anon = (fx.instance, fx.solutions[0])
+        inst, sol = side_by_side(anon, anon)
+        assert len(interaction_components(sol)) == 2
         full = verify_seq(inst, sol, f=2)
         assert full.ok and full.states_explored > 287
+        assert full.states_explored == explored_per_group(_explore_seq, inst, sol, 2) == 574
         assert verify_seq(inst, sol, f=2, state_cap=full.states_explored).ok
         r = verify_seq(inst, sol, f=2, state_cap=290)
         assert r.status == "too_large" and r.states_explored > 290
@@ -504,38 +527,149 @@ class TestSkippedCrashesAgainstCrashTree:
 
         monkeypatch.setattr(verify_module, "step_syn", counting)
         inst, sol = walker(SYN, NFD)
-        r = verify_syn(dataclasses.replace(inst, f=1), sol)
-        assert r.ok and r.states_explored == 2 and len(calls) == 2
+        inst = dataclasses.replace(inst, f=1)
+        assert _explore_syn(inst, sol, 1, DEFAULT_STATE_CAP) == (2, None) and len(calls) == 2
+        # verify decides the lone walker by inspection, without a step
+        calls.clear()
+        r = verify_syn(inst, sol)
+        assert r.ok and r.states_explored == 0 and not calls
 
     def test_verdicts_equal_the_crash_tree(self):
         # dcrf plans, the same plans with one rule dropped, and the bare
         # primaries, at f from 0 to 2 under both detectors
-        cells = [(c, r) for r in range(4) for c in range(4)]
         cases = refuted = mutants = 0
-        for seed in range(300):
-            rng = random.Random(seed)
-            g = grid_graph(4, 4, obstacles=frozenset(rng.sample(cells, 3)))
-            try:
-                inst = gen_well_formed(g, rng.randint(3, 5), rng.randint(1, 2), seed,
-                                       max_tries=200)
-            except GiveUp:
-                continue
-            for fd in (NFD, AFD):
-                res = solve(inst, SolverConfig(model=SYN, fd=fd, seed=seed, deadline=10.0))
-                if res.solution is None:
-                    continue
-                sol = res.solution
-                bare = dataclasses.replace(sol, plans=tuple(Plan(p.paths[:1]) for p in sol.plans))
-                sols = [sol] if bare == sol else [sol, bare]
-                for a, plan in enumerate(sol.plans):
-                    for i in range(len(plan.rules)):
-                        plans = list(sol.plans)
-                        plans[a] = dataclasses.replace(
-                            plan, rules=plan.rules[:i] + plan.rules[i + 1:])
-                        sols.append(dataclasses.replace(sol, plans=tuple(plans)))
-                        mutants += 1
-                for s in sols:
-                    for f in range(3):
-                        cases += 1
-                        refuted += not self.check(inst, s, f).ok
+        for inst, s, mutant in crash_tree_plans():
+            mutants += mutant
+            for f in range(3):
+                cases += 1
+                refuted += not self.check(inst, s, f).ok
         assert cases >= 1000 and refuted >= 250 and mutants >= 80
+
+
+def crash_tree_instances():
+    """(seed, instance) on seeded 4x4 grids with 3-5 agents and f 1-2."""
+    cells = [(c, r) for r in range(4) for c in range(4)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = grid_graph(4, 4, obstacles=frozenset(rng.sample(cells, 3)))
+        try:
+            inst = gen_well_formed(g, rng.randint(3, 5), rng.randint(1, 2), seed, max_tries=200)
+        except GiveUp:
+            continue
+        yield seed, inst
+
+
+def crash_tree_plans():
+    """(instance, syn solution, whether it is a mutant) of the crash-tree
+    sweep: dcrf plans under both detectors, then their bare primaries,
+    then each plan with one rule dropped (the mutants)."""
+    for seed, inst in crash_tree_instances():
+        for fd in (NFD, AFD):
+            res = solve(inst, SolverConfig(model=SYN, fd=fd, seed=seed, deadline=10.0))
+            if res.solution is None:
+                continue
+            sol = res.solution
+            yield inst, sol, False
+            bare = dataclasses.replace(sol, plans=tuple(Plan(p.paths[:1]) for p in sol.plans))
+            if bare != sol:
+                yield inst, bare, False
+            for a, plan in enumerate(sol.plans):
+                for i in range(len(plan.rules)):
+                    plans = list(sol.plans)
+                    plans[a] = dataclasses.replace(plan, rules=plan.rules[:i] + plan.rules[i + 1:])
+                    yield inst, dataclasses.replace(sol, plans=tuple(plans)), True
+
+
+def verify_exploring_all(monkeypatch, inst, sol, f):
+    """``verify`` with every group explored, lone agents included."""
+    with monkeypatch.context() as m:
+        m.setattr(verify_module, "_walks_alone", lambda *args: False)
+        return verify(inst, sol, f=f)
+
+
+def lone_plan(model, fd, primary, rule=None):
+    """A walker (agent 0) on the line 5-6-7, and agent 1 on the line
+    0-1-2-3 with goal 3 and a dead end 1-4. ``rule`` is parked at vertex 1
+    of agent 1's primary, watches vertex 2 and switches to path 1, which
+    ends at the goal when the primary does not and at the dead end when
+    it does. The two agents are two groups."""
+    g = Graph.build(8, [(0, 1), (1, 2), (2, 3), (1, 4), (5, 6), (6, 7)])
+    inst = Instance(graph=g, starts=(5, 0), goals=(7, 3), f=1)
+    rules = paths = ()
+    if rule is not None:
+        paths = ((1, 4),) if primary[-1] == 3 else ((1, 2, 3),)
+        rules = (TransitionRule(from_path=0, at_index=2, watch=2, trigger=rule, to_path=1),)
+    return inst, Solution(model, fd, (Plan(((5, 6, 7),)), Plan((primary,) + paths, rules)))
+
+
+class TestLoneAgentsDecidedByInspection:
+    """``verify`` decides a lone agent that walks its primary to its goal
+    with no vacant rule without exploring; exploring must agree."""
+
+    def test_decided_groups_verify_when_explored(self, monkeypatch):
+        # the crash-tree sweep's syn plans, and dcrf seq and disjoint plans
+        # of both models on the same instances, at f from 0 to 2
+        def plans():
+            for inst, sol, _ in crash_tree_plans():
+                yield inst, sol
+            for seed, inst in crash_tree_instances():
+                for fd in (NFD, AFD):
+                    res = solve(inst, SolverConfig(model=SEQ, fd=fd, seed=seed, deadline=10.0))
+                    if res.solution is not None:
+                        yield inst, res.solution
+                for model in (SYN, SEQ):
+                    res = solve_disjoint(inst, model, NFD, deadline=10.0)
+                    if res.solution is not None:
+                        yield inst, res.solution
+
+        cases = decided = refuted = 0
+        for inst, sol in plans():
+            explore = _explore_syn if sol.model == SYN else _explore_seq
+            lone = [ids for ids in interaction_components(sol) if len(ids) == 1]
+            for f in range(3):
+                r = verify(inst, sol, f=f)
+                whole = verify_exploring_all(monkeypatch, inst, sol, f)
+                assert (r.status, r.counterexample) == (whole.status, whole.counterexample)
+                cases += 1
+                refuted += not r.ok
+                for ids in lone:
+                    if verify_module._walks_alone(inst, sol, ids[0]):
+                        decided += 1
+                        _, ce = explore(*_restrict(inst, sol, ids), f, DEFAULT_STATE_CAP)
+                        assert ce is None, (inst, sol, ids, f)
+        assert cases >= 2000 and refuted >= 250 and decided >= 5000
+
+    @pytest.mark.parametrize("model", [SYN, SEQ])
+    @pytest.mark.parametrize("fd, rule", [(AFD, CRASHED_ANON), (NFD, crashed(0))])
+    def test_rules_that_never_fire_alone_are_decided(self, monkeypatch, model, fd, rule):
+        # an anonymous crash, or a named crash of an agent in another
+        # group, never shows at a lone agent's watched vertex
+        inst, sol = lone_plan(model, fd, (0, 1, 2, 3), rule)
+        r = verify(inst, sol, f=1)
+        assert r.ok and r.states_explored == 0
+        assert verify_exploring_all(monkeypatch, inst, sol, 1).ok
+
+    @pytest.mark.parametrize("model, kind, replay", [
+        (SYN, "stuck", {}),
+        (SEQ, "unreachable_goal", []),
+    ])
+    @pytest.mark.parametrize("fd, primary, rule", [
+        (NFD, (0, 1, 2), None),  # the primary stops short of its goal
+        (NFD, (0, 1, 2, 3), VACANT),  # a vacant rule turns into the dead end
+        (AFD, (0, 1, 2), CRASHED_ANON),  # the rule to the goal never fires
+        (NFD, (0, 1, 2), crashed(0)),  # it names the walker, in another group
+    ])
+    def test_damaged_lone_plans_are_explored_and_refuted(
+            self, monkeypatch, model, kind, replay, fd, primary, rule):
+        inst, sol = lone_plan(model, fd, primary, rule)
+        r = verify(inst, sol, f=1)
+        whole = verify_exploring_all(monkeypatch, inst, sol, 1)
+        assert r.status == whole.status == "refuted"
+        assert r.counterexample == whole.counterexample and r.reason == whole.reason
+        ce = r.counterexample
+        assert ce.kind == kind and ce.agents == (1,)
+        assert (ce.crash_times if model == SYN else ce.schedule) == replay
+        # only the walker's states are gone from the count
+        assert 0 < r.states_explored < whole.states_explored
+        out = run_syn(inst, sol, ce.crash_times) if model == SYN else run_seq(inst, sol, ce.schedule)
+        assert out.outcome != "arrived"
