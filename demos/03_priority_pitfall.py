@@ -28,6 +28,7 @@ def main():
         priority=fx.priority, initial_paths=fx.initial_paths,
     ))
     print(f"\npinned order: {pinned.status} after {pinned.attempts} attempt")
+    print(f"    no backup for {pinned.events[-1].describe()}")
 
     free = solve(inst, SolverConfig(model=SYN, fd=NFD, seed=0))
     print(f"free order:   {free.status} after {free.attempts} attempts "

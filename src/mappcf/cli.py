@@ -46,15 +46,14 @@ def _read_priority(path) -> tuple:
 
 
 def _run_algo(inst: Instance, algo: str, cfg: SolverConfig):
-    """Run one solver; returns (solution or None, status, runtime in s).
+    """Run one solver; returns its result, which has the ``solution`` (or
+    None), ``status`` and ``runtime`` (in s) of both solvers.
 
     ``disjoint`` reads only the model, detector and deadline of ``cfg``.
     """
     if algo == "dcrf":
-        res = dcrf.solve(inst, cfg)
-    else:
-        res = solve_disjoint(inst, model=cfg.model, fd=cfg.fd, deadline=cfg.deadline)
-    return res.solution, res.status, res.runtime
+        return dcrf.solve(inst, cfg)
+    return solve_disjoint(inst, model=cfg.model, fd=cfg.fd, deadline=cfg.deadline)
 
 
 def _scen_instance(graph, scen_path, n: int, f: int, name: str) -> Instance:
@@ -85,9 +84,12 @@ def _cmd_solve(args) -> int:
         refine=args.refine != "off",
         priority=priority,
     )
-    sol, reason, runtime = _run_algo(inst, args.algo, cfg)
+    res = _run_algo(inst, args.algo, cfg)
+    sol, runtime = res.solution, res.runtime
     if sol is None:
-        print(f"failure reason={reason} runtime_ms={int(runtime * 1000)}")
+        print(f"failure reason={res.status} runtime_ms={int(runtime * 1000)}")
+        if res.status == "no_backup":
+            print(res.events[-1].describe())
         return 2
     out = Path(args.out) if args.out else Path(args.instance).with_name(
         Path(args.instance).stem + f".{args.algo}-{args.model}.solution.json"
@@ -275,8 +277,9 @@ def bench_worker(task: dict) -> dict:
     cfg = SolverConfig(
         model=task["model"], fd=task["fd"], deadline=task["timeout"], seed=task["seed"]
     )
-    sol, status, runtime = _run_algo(inst, task["algo"], cfg)
-    row["runtime_ms"] = int(runtime * 1000)
+    res = _run_algo(inst, task["algo"], cfg)
+    sol, status = res.solution, res.status
+    row["runtime_ms"] = int(res.runtime * 1000)
     if sol is not None:
         row["outcome"] = "solved"
         row["failure_reason"] = ""

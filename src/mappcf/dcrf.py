@@ -18,7 +18,16 @@ blocked vertex, avoiding every vertex assumed crashed so far, and installs
 a transition rule that switches to the backup when the crash is actually
 observed. New paths spawn new events against every other path whose crash
 assumptions can coexist with theirs; resolution continues until the queue
-drains. A single unresolvable event fails the whole attempt.
+drains. A single unresolvable event fails the whole attempt, and a failed
+attempt stops at its first doomed event: one whose branch vertex the
+crash vertices its backup must avoid cut off from the goal. That is
+checked as the event is queued, with no space-time search, so the
+attempt fails before it resolves the events queued ahead of it. A failed
+solve's ``events`` end with the event that has no backup.
+
+Paths are reserved and compared through their timing tables
+(:class:`~mappcf.pathfind.Timing`), built once per path and entry time
+and solve.
 
 Every synchronous search (initial plans, refinement, backups) is memoized
 per solve (``Planner._search``). A restart reruns most of the previous
@@ -60,7 +69,7 @@ from .core import (
     validate_instance,
     _path_violations,
 )
-from .pathfind import Reservations, find_path_seq, find_path_syn, goal_distances
+from .pathfind import Reservations, Timing, find_path_seq, find_path_syn, goal_distances
 
 
 @dataclass(frozen=True, order=True)
@@ -99,6 +108,14 @@ class Event:
 
     def candidates(self) -> "tuple[Crash, ...]":
         return (self.crash, *self.merged)
+
+    def describe(self) -> str:
+        """One line naming the blocked step and the crash candidates
+        (``crashed`` and ``round`` list them in the same order)."""
+        eff, cands = self.effect, self.candidates()
+        return (f"event agent={eff.agent} path={eff.path} step={eff.at_index}"
+                f" crashed={','.join(str(c.agent) for c in cands)} vertex={self.crash.vertex}"
+                f" round={','.join(str(c.when) for c in cands)}")
 
 
 def _coexists(alt_a: frozenset, alt_b: frozenset, f: int) -> bool:
@@ -139,6 +156,10 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
+    """A solve's outcome. ``events`` are the resolved events of the last
+    attempt, in order; after ``no_backup`` the last of them is the event
+    that found no backup path."""
+
     status: str  # "solved" | "init_paths" | "no_backup" | "timeout"
     solution: "Solution | None" = None
     events: "tuple[Event, ...]" = ()
@@ -162,13 +183,19 @@ class SearchMemo:
     needs no place of its own in the key.
 
     ``to_goal`` keeps each goal's ``goal_distances`` table, the bound every
-    search toward that goal prunes with.
+    search toward that goal prunes with, and ``cut`` the answer to each
+    ``(goal, blocked, branch vertex)`` question of the doomed-event test
+    (see :meth:`Planner._doomed`). ``timing`` keeps each ``(path, entry)``
+    pair's :class:`~mappcf.pathfind.Timing`, which both the reservations
+    and the event generation read.
     """
 
     def __init__(self):
         self.bits: dict = {}
         self.found: dict = {}
         self.to_goal: dict[int, list[int]] = {}
+        self.cut: dict = {}
+        self.timing: dict = {}
 
 
 class Planner:
@@ -228,7 +255,7 @@ class Planner:
             return found[key]
         res = Reservations()
         for p, e in timed:
-            res.add_path(p, e)
+            res.add(self._timing(p, e))
         penalty = frozenset(v for p, _e in timed for v in p) if penalize else frozenset()
         inst = self.inst
         goal = inst.goals[a]
@@ -239,6 +266,12 @@ class Planner:
                              reservations=res, penalty=penalty, to_goal=to_goal)
         found[key] = path
         return path
+
+    def _timing(self, path: Path, entry: int) -> Timing:
+        timing = self.memo.timing.get((path, entry))
+        if timing is None:
+            timing = self.memo.timing[(path, entry)] = Timing(path, entry)
+        return timing
 
     def _probe_alts(self, a: int, p: int, cands) -> "tuple[frozenset, ...]":
         """Alternatives of a's path p, each extended by one crash candidate
@@ -394,40 +427,67 @@ class Planner:
 
     # -- stage 2: events ---------------------------------------------------
 
-    def _push_event(self, ev: Event) -> None:
+    def _push_event(self, ev: Event) -> bool:
+        """Queue an event; a doomed one (see :meth:`_doomed`) is not
+        queued but ends ``resolved``, and False says the attempt failed."""
+        if self._doomed(ev):
+            self.resolved.append(ev)
+            return False
         eff = ev.effect
         key = (eff.when, eff.agent, ev.crash.agent, self._seq)
         heapq.heappush(self.queue, (key, ev))
         self._seq += 1
+        return True
+
+    def _doomed(self, ev: Event) -> bool:
+        """True if the event's backup search can only fail: with the crash
+        vertices of its slot's chain and of its candidates taken out of the
+        graph, its branch vertex no longer reaches the goal.
+
+        :meth:`resolve` would then end the attempt with ``no_backup``: no
+        rule under the event's key exists to widen instead, since every
+        backup at a slot starts at the slot's vertex, inherits the slot's
+        chain, and avoids the key's watch vertex, so the search that would
+        have made that rule faced the same cut. A solved attempt never
+        queues such an event. The test is one breadth-first search from the
+        goal, which stops once it reaches the branch vertex, per distinct
+        question and solve (``SearchMemo.cut``).
+        """
+        a, p, c = ev.effect.agent, ev.effect.path, ev.effect.at_index
+        _redirect, slot_path, _slot_idx = self._slot(ev)
+        blocked = frozenset(self._chain_blocked(a, slot_path)
+                            | {cr.vertex for cr in ev.candidates()})
+        key = (self.inst.goals[a], blocked, self.paths[a][p][c - 2])
+        cut = self.memo.cut.get(key)
+        if cut is None:
+            goal, _blocked, branch = key
+            dist = goal_distances(self.inst.graph, goal, blocked, stop=branch)
+            cut = self.memo.cut[key] = dist[branch] < 0
+        return cut
 
     def _pair_candidates(self, a: int, pa: int, b: int, pb: int):
         """Crashes of b along its path pb that block a's path pa."""
-        path_a = self.paths[a][pa]
-        path_b = self.paths[b][pb]
         ea = self.entry[a][pa]
-        eb = self.entry[b][pb]
-        # ascending times of b at each vertex, 1-based positions of a
-        times_b: dict[int, list[int]] = {}
-        for k, v in enumerate(path_b):
-            times_b.setdefault(v, []).append(eb + k)
-        pos_a: dict[int, list[int]] = {}
-        for i, v in enumerate(path_a, 1):
-            pos_a.setdefault(v, []).append(i)
+        # ascending times at each vertex
+        times_a = self._timing(self.paths[a][pa], ea).visits
+        times_b = self._timing(self.paths[b][pb], self.entry[b][pb]).visits
         out = []
-        for v in sorted(times_b.keys() & pos_a.keys()):
-            at = pos_a[v]
+        for v in sorted(times_b.keys() & times_a.keys()):
+            at = times_a[v]
             for tb in times_b[v]:
-                # a is blocked at its first visit to v after time tb
-                j = bisect_right(at, tb - ea + 1)
-                if j < len(at) and at[j] >= 2:
-                    eff = Effect(a, pa, v, at[j], ea + at[j] - 1)
+                # a is blocked at its first visit to v after time tb, unless
+                # that visit is a's first vertex
+                j = bisect_right(at, tb)
+                if j < len(at) and at[j] > ea:
+                    eff = Effect(a, pa, v, at[j] - ea + 1, at[j])
                     out.append((Crash(b, v, tb), eff))
         return out
 
-    def _gen_events_for(self, keys) -> None:
+    def _gen_events_for(self, keys) -> bool:
         """Queue events between each path (a, pa) in ``keys`` and every
         compatible path (both directions), deduplicating crashes already
         seen and merging indistinguishable candidates into a single event.
+        False if one of them is doomed (see :meth:`_push_event`).
 
         All keys share one batch: under the anonymous detector only crashes
         collected into the same batch merge."""
@@ -444,7 +504,7 @@ class Planner:
                         self._collect(batch, cr, eff)
                     for cr, eff in self._pair_candidates(b, pb, a, pa):
                         self._collect(batch, cr, eff)
-        self._flush(batch)
+        return self._flush(batch)
 
     def _collect(self, batch: dict, cr: Crash, eff: Effect) -> None:
         exact = (eff.agent, eff.path, cr.agent, cr.vertex, cr.when)
@@ -457,12 +517,14 @@ class Planner:
             mkey = (eff.agent, eff.path, eff.at_index, cr.vertex)
         batch.setdefault(mkey, []).append((cr, eff))
 
-    def _flush(self, batch: dict) -> None:
+    def _flush(self, batch: dict) -> bool:
         for mkey in sorted(batch):
             entries = batch[mkey]
             entries.sort(key=lambda ce: ce[0])
             crashes = [ce[0] for ce in entries]
-            self._push_event(Event(crashes[0], entries[0][1], tuple(crashes[1:])))
+            if not self._push_event(Event(crashes[0], entries[0][1], tuple(crashes[1:]))):
+                return False
+        return True
 
     # -- stage 3: backup search -------------------------------------------
 
@@ -524,6 +586,23 @@ class Planner:
                 out.add(r.watch)
         return out
 
+    def _slot(self, ev: Event):
+        """``(redirect, slot path, slot index)``: where the event's rule is
+        parked.
+
+        In syn a switch consumes the whole round: the agent lands on the
+        new path at index 1 and moves immediately, so a rule parked there
+        could never fire. A crash blocking a backup's first hop is always
+        observable one round earlier, at the slot whose rule created that
+        backup (crashed agents stay put), so the dodge is redirected there,
+        ahead of the rules it guards, as a sibling of the blocked path.
+        """
+        a, p, c = ev.effect.agent, ev.effect.path, ev.effect.at_index
+        if c == 2 and p != 0:
+            pp, pc, _pcands = self.parent[a][p]
+            return True, pp, pc - 1
+        return False, p, c - 1
+
     def resolve(self, ev: Event) -> str:
         """Resolve one event; returns "ok" or "no_backup"."""
         a = ev.effect.agent
@@ -532,18 +611,7 @@ class Planner:
         cands = ev.candidates()
         trigger = self._trigger_for(cands)
         watch = ev.crash.vertex
-        # In syn a switch consumes the whole round: the agent lands on the
-        # new path at index 1 and moves immediately, so a rule parked there
-        # could never fire. A crash blocking a backup's first hop is always
-        # observable one round earlier, at the slot whose rule created that
-        # backup (crashed agents stay put), so the dodge is parked there,
-        # ahead of the rules it guards, as a sibling of the blocked path.
-        redirect = c == 2 and p != 0
-        if redirect:
-            pp, pc, _pcands = self.parent[a][p]
-            slot_path, slot_idx = pp, pc - 1
-        else:
-            slot_path, slot_idx = p, c - 1
+        redirect, slot_path, slot_idx = self._slot(ev)
         rkey = (a, slot_path, slot_idx, watch, trigger)
         existing = self.rule_target.get(rkey)
         self.resolved.append(ev)
@@ -568,8 +636,7 @@ class Planner:
         else:
             self.rules[a].append(rule)
         self.rule_target[rkey] = np
-        self._gen_events_for([(a, np)])
-        return "ok"
+        return "ok" if self._gen_events_for([(a, np)]) else "no_backup"
 
     def _extend_backup(self, a: int, target: int, cands) -> str:
         """A later crash candidate maps onto an existing rule: widen that
@@ -593,8 +660,7 @@ class Planner:
             for pb in range(len(self.paths[b])):
                 if self._compatible(alts, a, b, pb) and self._paths_conflict(a, target, b, pb):
                     return "no_backup"
-        self._gen_events_for([(a, target)])
-        return "ok"
+        return "ok" if self._gen_events_for([(a, target)]) else "no_backup"
 
     def _paths_conflict(self, a: int, pa: int, b: int, pb: int) -> bool:
         path_a, path_b = self.paths[a][pa], self.paths[b][pb]
@@ -619,7 +685,8 @@ class Planner:
     def run_events(self) -> str:
         if self.cfg.model == SEQ:
             return "solved"  # disjoint primaries: no crash blocks another agent
-        self._gen_events_for([(a, 0) for a in self.inst.agents()])
+        if not self._gen_events_for([(a, 0) for a in self.inst.agents()]):
+            return "no_backup"
         while self.queue:
             self._tick()
             _key, ev = heapq.heappop(self.queue)

@@ -27,11 +27,39 @@ sets.
 Both shortest-path searches settle their tie-breaks in one backward pass
 over their layers, which keeps each vertex's best step; the path then
 follows those steps from the start.
+
+``Reservations`` merges the :class:`Timing` of each reserved path, which
+a caller that reserves one path in many searches can build once.
 """
 
 from __future__ import annotations
 
 from .core import Graph, Path, bfs_distances, bfs_fill, mask_vertices, vertex_mask
+
+
+class Timing:
+    """One path's timed occupancies from one start time, in the form
+    :meth:`Reservations.add` merges them.
+
+    The path's k-th vertex (1-based) is held at time ``start_time+k-1``.
+    ``visits[v]`` lists the times at which the path holds ``v``, ascending;
+    ``hops`` lists the moves ``(t, (u, v))`` that leave ``u`` at time ``t``
+    and reach ``v`` at ``t+1``; ``end`` is the time of the last vertex. A
+    planner that reserves the same path in many searches builds its timing
+    once.
+    """
+
+    __slots__ = ("path", "visits", "hops", "end")
+
+    def __init__(self, path: Path, start_time: int = 1):
+        visits: dict[int, list[int]] = {}
+        for t, v in enumerate(path, start_time):
+            visits.setdefault(v, []).append(t)
+        self.path = path
+        self.visits = visits
+        self.hops = tuple((t, (u, w)) for t, (u, w) in enumerate(zip(path, path[1:]), start_time)
+                          if u != w)
+        self.end = start_time + len(path) - 1
 
 
 class Reservations:
@@ -63,17 +91,30 @@ class Reservations:
         self.max_time = 0
 
     def add_path(self, path: Path, start_time: int = 1) -> None:
-        if not path:
-            return
-        for k, v in enumerate(path):
-            t = start_time + k
-            self._occupied.setdefault(t, set()).add(v)
-            if t > self._last.get(v, 0):
-                self._last[v] = t
-            if k + 1 < len(path) and path[k + 1] != v:
-                self._moves.setdefault(t, set()).add((v, path[k + 1]))
-        end_t = start_time + len(path) - 1
-        last_v = path[-1]
+        if path:
+            self.add(Timing(path, start_time))
+
+    def add(self, timing: Timing) -> None:
+        """Register a path given by its :class:`Timing`."""
+        occupied, last = self._occupied, self._last
+        for v, times in timing.visits.items():
+            for t in times:
+                held = occupied.get(t)
+                if held is None:
+                    occupied[t] = {v}
+                else:
+                    held.add(v)
+            if times[-1] > last.get(v, 0):
+                last[v] = times[-1]
+        moves = self._moves
+        for t, hop in timing.hops:
+            out = moves.get(t)
+            if out is None:
+                moves[t] = {hop}
+            else:
+                out.add(hop)
+        end_t = timing.end
+        last_v = timing.path[-1]
         held = self._forever.get(last_v)
         if held is None or end_t < held:
             self._forever[last_v] = end_t

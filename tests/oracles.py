@@ -5,13 +5,15 @@ recursion, on purpose: these functions double-check the package's
 search code, so they must not share any of it. The reference stepping
 shares only the execution module's state and collision types, and the
 crash-tree search after it steps with the reference stepping alone. The
-vertex-set adapters at the end are the one exception: they call the
-package's bitmask kernels, for tests that state their cases in sets.
+vertex-set adapters and the planner at the end are the exceptions: the
+adapters call the package's bitmask kernels, for tests that state their
+cases in sets, and the planner is dcrf's own with one shortcut taken out.
 """
 
 import itertools
 
 from mappcf.core import CORRECT, NFD, VACANT, crashed, mask_vertices, vertex_mask
+from mappcf.dcrf import Planner
 from mappcf.execution import (
     CORRECT_ST,
     CRASHED_ST,
@@ -454,3 +456,16 @@ def find_path_seq_cuts(graph, start, goal, forbidden=frozenset(), penalty=frozen
 def must_visit(graph, path, forbidden=frozenset()):
     """``pathfind.must_visit_mask`` over vertex sets."""
     return frozenset(mask_vertices(must_visit_mask(graph, path, vertex_mask(forbidden))))
+
+
+# --- dcrf without the doomed-event exit ------------------------------------
+
+
+class EveryEventPlanner(Planner):
+    """dcrf's planner that queues every event, doomed or not, so a failed
+    attempt resolves events until it pops the one with no backup: the
+    event stage as it ran before the doomed-event exit. Tests install it
+    with ``monkeypatch.setattr(dcrf, "Planner", EveryEventPlanner)``."""
+
+    def _doomed(self, ev):
+        return False

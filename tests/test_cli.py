@@ -70,6 +70,22 @@ class TestSolveVerifyFlow:
         assert code == 2
         assert "reason=no_backup" in capsys.readouterr().out
 
+    def test_no_backup_names_the_event(self, tmp_path, capsys):
+        # the second line is the event whose backup search failed: agent
+        # 0's path 1 is blocked at its step 3 once agent 1 crashes on
+        # vertex 0 in round 3
+        inst = gen_fixture(tmp_path, "fig8")
+        prio = tmp_path / "fig8.instance.priority.txt"
+        capsys.readouterr()
+        code = run_cli(
+            "solve", "--instance", str(inst), "--model", "syn", "--algo", "dcrf",
+            "--priority", str(prio),
+        )
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("failure reason=no_backup ")
+        assert lines[1] == "event agent=0 path=1 step=3 crashed=1 vertex=0 round=3"
+
     @pytest.mark.parametrize("algo", ["dcrf", "disjoint"])
     @pytest.mark.parametrize("timeout", ["nan", "-5"])
     def test_bad_timeout_is_an_error(self, tmp_path, capsys, algo, timeout):

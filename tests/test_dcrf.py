@@ -26,10 +26,12 @@ from mappcf.dcrf import (
     _coexists,
     solve,
 )
+from mappcf.execution import run_syn
 from mappcf.fileio import parse_map
 from mappcf.gen import fixture, gen_well_formed, grid_graph, random_grid_map
 from mappcf.pathfind import Reservations, find_path_syn
 from mappcf.verify import verify, verify_syn
+from oracles import EveryEventPlanner
 
 
 class TestPruneInconsistent:
@@ -254,11 +256,80 @@ class TestAnonymousMerging:
         # crashes of different agents at one vertex merge into one event
         g = parse_map(random_grid_map(8, 8, seed=0))
         inst = gen_well_formed(g, 3, 2, 9)
-        res = solve(inst, SolverConfig(model=SYN, fd="afd", priority=(0, 1, 2)))
+        cfg = SolverConfig(model=SYN, fd="afd", priority=(0, 1, 2))
+        res = solve(inst, cfg)
         assert res.status == "no_backup"
-        assert len(res.events) == 13
+        assert len(res.events) == 9  # 13 when every event is resolved
+        planner = Planner(inst, cfg)
+        planner.set_initial_paths(res.initial_paths)
+        assert planner._gen_events_for([(a, 0) for a in inst.agents()])
         merged = Event(Crash(0, 23, 3), Effect(1, 0, 23, 4, 4), merged=(Crash(2, 23, 1),))
+        assert merged in [ev for _key, ev in planner.queue]
         assert merged in res.events
+
+
+class TestDoomedEventExit:
+    """A failed attempt stops at its first doomed event, one whose branch
+    vertex is cut off from the goal by the crash vertices its backup must
+    avoid. The outputs must be those of the planner that resolves every
+    event, except that a failed solve's events end at the doomed one."""
+
+    def test_same_outcomes_as_resolving_every_event(self, monkeypatch):
+        exits = []
+        doomed = Planner._doomed
+
+        def checked(self, ev):
+            out = doomed(self, ev)
+            if out:
+                # what resolve would do: no rule at the slot watches this
+                # vertex, and the backup search, with fewer vertices
+                # blocked than resolve's, still fails
+                exits.append(ev)
+                a = ev.effect.agent
+                _redirect, slot_path, slot_idx = self._slot(ev)
+                assert not any(k[:4] == (a, slot_path, slot_idx, ev.crash.vertex)
+                               for k in self.rule_target)
+                alts = self._probe_alts(a, slot_path, ev.candidates())
+                assert self.find_backup_path(ev, slot_path, alts) is None
+            return out
+
+        monkeypatch.setattr(Planner, "_doomed", checked)
+        g = parse_map(random_grid_map(8, 8, seed=0))
+        solved = failed = 0
+        for n, f, seed, fd in itertools.product((2, 3, 4), (1, 2), range(24), (NFD, AFD)):
+            inst = gen_well_formed(g, n, f, seed)
+            cfg = SolverConfig(model=SYN, fd=fd, seed=seed, deadline=None)
+            got = solve(inst, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(dcrf, "Planner", EveryEventPlanner)
+                want = solve(inst, cfg)
+            assert (got.status, got.solution, got.initial_paths, got.attempts) == (
+                want.status, want.solution, want.initial_paths, want.attempts)
+            if got.ok:
+                solved += 1
+                assert got.events == want.events
+            else:
+                failed += 1
+                assert got.events[:-1] == want.events[:len(got.events) - 1]
+        # 276 solved, 12 failed and 40 doomed exits when this was written
+        assert solved >= 250 and failed >= 10 and len(exits) >= 30
+
+
+class TestTwoCrashCollision:
+    @pytest.mark.xfail(reason="a redirected dodge reuses the slot's existing rule for the same"
+                              " crash even when that rule comes after the rule it guards, so"
+                              " the plan collides once agents 4 and 5 crash")
+    def test_solved_plan_verifies(self, data_dir):
+        g = parse_map((data_dir / "random-16-16-10.map").read_text())
+        inst = gen_well_formed(g, 6, 2, 3)
+        res = solve(inst, SolverConfig(model=SYN, fd=NFD, seed=3))
+        assert (res.status, res.attempts) == ("solved", 2)
+        vr = verify(inst, res.solution)
+        if not vr.ok:
+            # a genuine refutation: the witness replays to the same outcome
+            ce = vr.counterexample
+            assert run_syn(inst, res.solution, ce.crash_times).outcome == ce.kind
+        assert vr.ok, vr.counterexample
 
 
 class TestFailureModes:
@@ -358,14 +429,21 @@ class TestSearchMemo:
         assert len(planner.memo.found) < 1500 and len(outcomes) > 10 and None in outcomes
 
     def test_syn_outputs_are_pinned(self, data_dir):
-        # digest computed with a search per call, before the memo existed
-        rows = []
+        # ``kept`` leaves out the events of failed solves, the one output
+        # the doomed-event exit shortens. Its digest is that of the rows
+        # pinned before the exit, f5642638, which were computed with a
+        # search per call, before the memo existed
+        rows, kept = [], []
         for key, inst, fd in pinned_grid(data_dir):
             r = solve(inst, SolverConfig(model=SYN, fd=fd, deadline=None))
             rows.append((*key, fd, r.status, r.solution, r.events, r.initial_paths, r.attempts))
+            kept.append((*key, fd, r.status, r.solution, r.events if r.ok else None,
+                         r.initial_paths, r.attempts))
         assert len(rows) == 224
+        digest = hashlib.sha256(repr(kept).encode()).hexdigest()
+        assert digest == "f326d3cc3c45a0b4002a932bfaa1f1b734b7a9c6b2cde88387adeab9ad1f1693"
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "f564263888ace002921ce3f74b4368e18d3b022aefb2f573ff54ba4aa0bcef18"
+        assert digest == "eb6901f86ab885f67aff95c14ae358c029a377818c33f03c7f8cd731ab7c9dae"
 
     def test_restarts_reuse_searches(self, data_dir, monkeypatch):
         calls = []
@@ -380,7 +458,8 @@ class TestSearchMemo:
         inst = gen_well_formed(g, 8, 1, 2)
         r = solve(inst, SolverConfig(model=SYN, fd=NFD, deadline=None))
         assert (r.status, r.attempts) == ("no_backup", 11)
-        assert len(calls) == 188  # 810 with one search per call
+        # 188 when every event is resolved, 810 with one search per call
+        assert len(calls) == 142
 
 
 class TestRepeatedPrimaries:
@@ -428,7 +507,10 @@ class TestBackupAlternatives:
     def test_widenings_hit_childless_backups(self, data_dir, monkeypatch):
         # a restart that repeats failed primaries runs no event stage, so
         # the pinned grid alone widens 359 backups; seeds 4-11 of seven
-        # agents on both of its maps add more than 800
+        # agents on both of its maps add more than 800. The planner that
+        # resolves every event runs them all: with the doomed-event exit
+        # the sweep widens only 153 backups
+        monkeypatch.setattr(dcrf, "Planner", EveryEventPlanner)
         more = [
             (gen_well_formed(g, 7, f, seed), fd)
             for g in (parse_map(random_grid_map(8, 8, seed=0)),
