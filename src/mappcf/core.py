@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,11 +139,15 @@ def bfs_fill(adj, dist: list[int], source: int, stop: int = -1) -> list[int]:
     through vertices whose entry is -1; any other entry is a wall, so a
     caller marks the vertices to avoid before the search. ``source`` is
     labelled 0 whatever its entry.
+
+    The queue is a plain list that the loop appends to while iterating
+    it, which is intended: a list iterator reads the length at every step,
+    so it visits the appended vertices in order, first in first out, and
+    no vertex is ever removed from the front.
     """
     dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
+    q = [source]
+    for u in q:
         du = dist[u] + 1
         for v in adj[u]:
             if dist[v] == -1:
@@ -163,13 +166,24 @@ def vertex_mask(vertices) -> int:
     return mask
 
 
+# _BYTE_BITS[b]: the offsets of the set bits of byte b, ascending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def mask_vertices(mask: int) -> list[int]:
-    """The vertices of a :func:`vertex_mask`, ascending."""
+    """The vertices of a :func:`vertex_mask`, ascending.
+
+    The mask is decoded one byte at a time, lowest first, through a table
+    of each byte value's bit offsets, so the work is one table lookup per
+    byte and one append per vertex, whatever the vertex numbers.
+    """
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                out.append(base + i)
+        base += 8
     return out
 
 

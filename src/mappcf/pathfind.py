@@ -26,7 +26,14 @@ sets.
 
 Both shortest-path searches settle their tie-breaks in one backward pass
 over their layers, which keeps each vertex's best step; the path then
-follows those steps from the start.
+follows those steps from the start. The space-time layers of
+``find_path_syn`` are sets, built by set expressions. The shortest-path
+kernel under ``find_path_seq`` and ``find_path_seq_mask`` runs once per
+replan of the disjoint CBS, so it keeps to lists: its BFS is
+:func:`~mappcf.core.bfs_fill`, its layers are lists deduplicated by a
+``bytearray`` mark, each vertex's best step and penalty count sit in
+n-long lists indexed by vertex, and the cut set and the path's mask are
+built as the layers are built and the path is walked.
 
 ``Reservations`` merges the :class:`Timing` of each reserved path, which
 a caller that reserves one path in many searches can build once.
@@ -356,14 +363,13 @@ def find_path_seq_mask(graph: Graph, start: int, goal: int, forbidden: int = 0, 
     longer or impossible, and forbidding any other vertex leaves its length
     unchanged.
     """
-    path, cuts = _find_path_seq(graph, start, goal, mask_vertices(forbidden), penalty)
-    return path, (0 if path is None else vertex_mask(path)), cuts
+    return _find_path_seq(graph, start, goal, mask_vertices(forbidden), penalty)
 
 
 def _find_path_seq(graph: Graph, start: int, goal: int, walls, penalty: int):
     """The one search behind :func:`find_path_seq` and
-    :func:`find_path_seq_mask`: ``(path, cuts)``, ``cuts`` a bitmask, or
-    ``(None, 0)``.
+    :func:`find_path_seq_mask`: ``(path, path_mask, cuts)``, the two masks
+    as ints, or ``(None, 0, 0)``.
 
     ``walls`` yields the forbidden vertices and ``penalty`` is a bitmask.
     The forbidden vertices are marked in the distance list before the
@@ -377,49 +383,64 @@ def _find_path_seq(graph: Graph, start: int, goal: int, walls, penalty: int):
     labelled, as every distance read below is smaller than the start's. A
     step stays on a shortest path exactly when it lowers that distance by
     one, so no distances from the start are needed: the shortest paths are
-    layered out from the start, a backward pass over the layers counts the
-    fewest penalized entries still ahead and keeps the first step (in
-    adjacency order, which is ascending) that attains it, and the path
-    follows the kept steps.
+    layered out from the start, each layer a list of the vertices one step
+    closer to the goal that the previous layer reaches, deduplicated by a
+    ``bytearray`` mark. A layer of one vertex is a cut vertex, noted as
+    the layer is built. A backward pass over the layers keeps, in n-long
+    lists, each vertex's fewest penalized entries still ahead (``ahead``,
+    its own entry counted) and the first step, in adjacency order, which
+    is ascending, that attains the fewest (``step``); the path follows the
+    kept steps, and its mask is built on the way.
     """
     dist = [-1] * graph.n
     for v in walls:
         dist[v] = -2
     if dist[start] == -2 or dist[goal] == -2:
-        return None, 0
+        return None, 0, 0
     if start == goal:
-        return (start,), 1 << start
+        return (start,), 1 << start, 1 << start
     bfs_fill(graph.reverse.adj, dist, goal, stop=start)
-    if dist[start] < 0:
-        return None, 0
+    top = dist[start]
+    if top < 0:
+        return None, 0, 0
     # vertices on some shortest path, one layer per step from the start
     adj = graph.adj
-    layers = [{start}]
-    for d in range(dist[start] - 1, 0, -1):
-        layers.append({w for v in layers[-1] for w in adj[v] if dist[w] == d})
-    cuts = 1 << goal
-    for layer in layers:
-        if len(layer) == 1:
-            for v in layer:
-                cuts |= 1 << v
-    # fewest penalized vertices entered from here to the goal, and the
-    # smallest next vertex that keeps that count
-    pen = {goal: 0}
-    step: dict[int, int] = {}
-    for layer in reversed(layers):
+    seen = bytearray(graph.n)
+    layer = [start]
+    layers = [layer]
+    cuts = 1 << start | 1 << goal
+    for d in range(top - 1, 0, -1):
+        nxt = []
         for v in layer:
-            down = dist[v] - 1
-            best = None
             for w in adj[v]:
-                if dist[w] == down:
-                    p = pen[w] + (penalty >> w & 1)
-                    if best is None or p < best:
-                        best, step[v] = p, w
-            pen[v] = best
-    out = [start]
-    while out[-1] != goal:
-        out.append(step[out[-1]])
-    return tuple(out), cuts
+                if dist[w] == d and not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        if len(nxt) == 1:
+            cuts |= 1 << nxt[0]
+        layers.append(nxt)
+        layer = nxt
+    # ahead[w]: fewest penalized vertices entered from w on, w's own entry
+    # included and the goal's left out (every path enters it); step[v]: the
+    # smallest next vertex that keeps v's count
+    ahead = [0] * graph.n
+    step = [0] * graph.n
+    for down, layer in enumerate(reversed(layers)):
+        for v in layer:
+            best = top + 1  # more than any count
+            for w in adj[v]:
+                if dist[w] == down and ahead[w] < best:
+                    best = ahead[w]
+                    step[v] = w
+            ahead[v] = best + (penalty >> v & 1)
+    v = start
+    out = [v]
+    mask = 1 << v
+    while v != goal:
+        v = step[v]
+        out.append(v)
+        mask |= 1 << v
+    return tuple(out), mask, cuts
 
 
 def must_visit_mask(graph: Graph, path: Path, forbidden: int = 0) -> int:

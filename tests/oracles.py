@@ -5,13 +5,16 @@ recursion, on purpose: these functions double-check the package's
 search code, so they must not share any of it. The reference stepping
 shares only the execution module's state and collision types, and the
 crash-tree search after it steps with the reference stepping alone. The
+reference kernels share nothing with the package either. The
 vertex-set adapters and the planner at the end are the exceptions: the
 adapters call the package's bitmask kernels, for tests that state their
 cases in sets, and the planner is dcrf's own with one shortcut taken out.
 """
 
 import itertools
+from collections import deque
 
+from mappcf import pathfind
 from mappcf.core import CORRECT, NFD, VACANT, crashed, mask_vertices, vertex_mask
 from mappcf.dcrf import Planner
 from mappcf.execution import (
@@ -21,7 +24,6 @@ from mappcf.execution import (
     AgentState,
     Collision,
 )
-from mappcf.pathfind import find_path_seq_mask, must_visit_mask
 
 
 def simple_paths(graph, s, t):
@@ -442,20 +444,135 @@ def syn_fewest_collision_rounds(inst, sol, f):
     return None
 
 
+# --- reference kernels -----------------------------------------------------
+#
+# The BFS, the shortest-path search and the must-visit scan under the
+# disjoint CBS as they ran before they moved to a list queue, list layers
+# with n-long step tables and a byte-table mask decode, kept unchanged as
+# the references the package's kernels are compared against: a deque
+# queue, set layers with dict tables, and a lowest-bit-first decode.
+
+
+def _decode(mask):
+    """The vertices of a bitmask, ascending, lowest set bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def bfs_fill(adj, dist, source, stop=-1):
+    """``core.bfs_fill`` on a deque: labels the vertices whose entry is -1."""
+    dist[source] = 0
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        du = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] == -1:
+                dist[v] = du
+                if v == stop:
+                    return dist
+                q.append(v)
+    return dist
+
+
+def find_path_seq_mask(graph, start, goal, forbidden=0, penalty=0):
+    """``pathfind.find_path_seq_mask``: (path, path mask, cut mask), or
+    (None, 0, 0)."""
+    dist = [-1] * graph.n
+    for v in _decode(forbidden):
+        dist[v] = -2
+    if dist[start] == -2 or dist[goal] == -2:
+        return None, 0, 0
+    if start == goal:
+        return (start,), 1 << start, 1 << start
+    bfs_fill(graph.reverse.adj, dist, goal, stop=start)
+    if dist[start] < 0:
+        return None, 0, 0
+    adj = graph.adj
+    layers = [{start}]
+    for d in range(dist[start] - 1, 0, -1):
+        layers.append({w for v in layers[-1] for w in adj[v] if dist[w] == d})
+    cuts = 1 << goal
+    for layer in layers:
+        if len(layer) == 1:
+            for v in layer:
+                cuts |= 1 << v
+    pen = {goal: 0}
+    step = {}
+    for layer in reversed(layers):
+        for v in layer:
+            down = dist[v] - 1
+            best = None
+            for w in adj[v]:
+                if dist[w] == down:
+                    p = pen[w] + (penalty >> w & 1)
+                    if best is None or p < best:
+                        best, step[v] = p, w
+            pen[v] = best
+    out = [start]
+    while out[-1] != goal:
+        out.append(step[out[-1]])
+    mask = 0
+    for v in out:
+        mask |= 1 << v
+    return tuple(out), mask, cuts
+
+
+def must_visit_mask(graph, path, forbidden=0):
+    """``pathfind.must_visit_mask``: the vertices every route from
+    ``path[0]`` to ``path[-1]`` avoiding ``forbidden`` visits, as a mask."""
+    tag = [-1] * graph.n
+    for i, v in enumerate(path):
+        tag[v] = i
+    for v in _decode(forbidden):
+        tag[v] = -2
+    adj = graph.adj
+    last = len(path) - 1
+    out = 1 << path[0] | 1 << path[last]
+    tag[path[0]] = -2
+    stack = [path[0]]
+    m = expanded = 0
+    while m != last:
+        while stack:
+            for w in adj[stack.pop()]:
+                i = tag[w]
+                if i == -2:
+                    continue
+                tag[w] = -2
+                if i <= m:
+                    stack.append(w)
+                    continue
+                if i == last:
+                    return out
+                if m != expanded:
+                    stack.append(path[m])
+                m = i
+        if m == expanded:
+            raise ValueError("no route from path[0] to path[-1] avoids forbidden")
+        out |= 1 << path[m]
+        stack.append(path[m])
+        expanded = m
+    return out
+
+
 # --- vertex-set adapters ---------------------------------------------------
 
 
 def find_path_seq_cuts(graph, start, goal, forbidden=frozenset(), penalty=frozenset()):
     """``pathfind.find_path_seq_mask`` over vertex sets: (path, cut set), or
     (None, frozenset()) when no path exists."""
-    path, _, cuts = find_path_seq_mask(graph, start, goal, vertex_mask(forbidden),
-                                       vertex_mask(penalty))
+    path, _, cuts = pathfind.find_path_seq_mask(graph, start, goal, vertex_mask(forbidden),
+                                                vertex_mask(penalty))
     return path, frozenset(mask_vertices(cuts))
 
 
 def must_visit(graph, path, forbidden=frozenset()):
     """``pathfind.must_visit_mask`` over vertex sets."""
-    return frozenset(mask_vertices(must_visit_mask(graph, path, vertex_mask(forbidden))))
+    return frozenset(mask_vertices(pathfind.must_visit_mask(graph, path, vertex_mask(forbidden))))
 
 
 # --- dcrf without the doomed-event exit ------------------------------------

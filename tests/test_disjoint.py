@@ -1,5 +1,6 @@
 """Disjoint-paths baseline: pins, optimality, and proof-grade verdicts."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -177,22 +178,29 @@ class TestGridPins:
         assert (res.status, res.nodes, res.pruned) == ("infeasible", 148, 92)
         assert peak < 0.25 * 2**20, peak
 
-    def test_benchmark_deck_verdicts_and_costs(self):
+    def test_benchmark_deck_verdicts_costs_and_paths(self):
         # every instance of the 8x8 deck the CBS is benchmarked on, run to
         # a verdict: (agents, seed) -> total length, None when infeasible;
-        # the three largest infeasibility proofs are n2-s1, n2-s2 and n3-s10
+        # the three largest infeasibility proofs are n2-s1, n2-s2 and n3-s10.
+        # The paths themselves are pinned by a hash, since a tie-break that
+        # slips among equally long tuples keeps every verdict and cost.
         graph = parse_map(random_grid_map(8, 8, seed=0))
         costs = {
             2: (9, None, None, 21, 14, 6, 11, 9, 8, 6, 8, 3),
             3: (19, 20, None, 9, 20, 19, 26, 12, 18, None, None, 15),
             4: (28, 19, 18, 16, None, None, 23, None, None, 21, 11, 26),
         }
+        solved = []
         for n, row in costs.items():
             for seed, want in enumerate(row):
                 res = solve_disjoint(gen_well_formed(graph, n, 1, seed), deadline=None)
                 assert res.status == ("infeasible" if want is None else "solved"), (n, seed)
                 got = None if not res.ok else sum(len(p) - 1 for p in res.paths)
                 assert got == want, (n, seed)
+                if res.ok:
+                    solved.append((n, seed, res.paths))
+        digest = hashlib.sha256(repr(solved).encode()).hexdigest()[:16]
+        assert (len(solved), digest) == (27, "714bfe0c745c0854")
 
 
 class TestMechanics:
