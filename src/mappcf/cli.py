@@ -149,6 +149,8 @@ def _cmd_simulate(args) -> int:
     inst = fileio.read_instance(args.instance)
     sol = fileio.read_solution(args.solution)
     if sol.model == SEQ:
+        if args.crash:
+            raise ValueError("sequential solutions take --schedule, not --crash")
         if not args.schedule:
             raise ValueError("sequential solutions need --schedule FILE")
         res = run_seq(inst, sol, _parse_schedule(args.schedule))

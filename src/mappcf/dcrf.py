@@ -253,9 +253,7 @@ class Planner:
         found = self.memo.found
         if key in found:
             return found[key]
-        res = Reservations()
-        for p, e in timed:
-            res.add(self._timing(p, e))
+        res = self._reserved(timed)
         penalty = frozenset(v for p, _e in timed for v in p) if penalize else frozenset()
         inst = self.inst
         goal = inst.goals[a]
@@ -272,6 +270,13 @@ class Planner:
         if timing is None:
             timing = self.memo.timing[(path, entry)] = Timing(path, entry)
         return timing
+
+    def _reserved(self, timed) -> Reservations:
+        """The reservations of the ``(path, entry)`` pairs ``timed``."""
+        res = Reservations()
+        for p, e in timed:
+            res.add(self._timing(p, e))
+        return res
 
     def _probe_alts(self, a: int, p: int, cands) -> "tuple[frozenset, ...]":
         """Alternatives of a's path p, each extended by one crash candidate
@@ -302,6 +307,16 @@ class Planner:
                 if _coexists(alt_a, alt_b, f):
                     return True
         return False
+
+    def _coexisting(self, a: int, alts) -> "list[tuple[Path, int]]":
+        """The ``(path, entry)`` pairs of the other agents' paths that can
+        run together with agent a under crash alternatives ``alts``."""
+        return [
+            (self.paths[b][pb], self.entry[b][pb])
+            for b in self.inst.agents() if b != a
+            for pb in range(len(self.paths[b]))
+            if self._compatible(alts, a, b, pb)
+        ]
 
     def _chain_blocked(self, a: int, p: int) -> set:
         """Crash vertices assumed anywhere along a path's ancestor chain."""
@@ -557,13 +572,7 @@ class Planner:
         blocked = self._chain_blocked(a, base) | {cr.vertex for cr in cands}
         blocked |= extra_blocked
         t_branch = self.entry[a][p] + c - 2
-        timed = [
-            (self.paths[b][pb], self.entry[b][pb])
-            for b in self.inst.agents() if b != a
-            for pb in range(len(self.paths[b]))
-            if self._compatible(alts, a, b, pb)
-        ]
-        return self._search(a, branch_v, t_branch, frozenset(blocked), timed)
+        return self._search(a, branch_v, t_branch, frozenset(blocked), self._coexisting(a, alts))
 
     # -- stage 4: resolution loop -----------------------------------------
 
@@ -654,33 +663,10 @@ class Planner:
             return "ok"
         stored.extend(add)
         alts = self.alts[a][target] = self._probe_alts(a, pp, stored)
-        for b in self.inst.agents():
-            if b == a:
-                continue
-            for pb in range(len(self.paths[b])):
-                if self._compatible(alts, a, b, pb) and self._paths_conflict(a, target, b, pb):
-                    return "no_backup"
+        res = self._reserved(self._coexisting(a, alts))
+        if not res.admits(self._timing(self.paths[a][target], self.entry[a][target])):
+            return "no_backup"
         return "ok" if self._gen_events_for([(a, target)]) else "no_backup"
-
-    def _paths_conflict(self, a: int, pa: int, b: int, pb: int) -> bool:
-        path_a, path_b = self.paths[a][pa], self.paths[b][pb]
-        # b holds path_b[t - tb] from time tb on, and its last vertex forever
-        # after; a must not meet it, swap with it, or park where b comes later
-        ta, tb = self.entry[a][pa], self.entry[b][pb]
-        last_b = len(path_b) - 1
-        for k, v in enumerate(path_a):
-            j = ta + k - tb
-            if j < 0:
-                continue
-            if path_b[min(j, last_b)] == v:
-                return True
-            # b is not on v, so a head-on swap is b stepping from a's next
-            # vertex onto v
-            if j < last_b and k < len(path_a) - 1:
-                if path_b[j] == path_a[k + 1] and path_b[j + 1] == v:
-                    return True
-        goal = path_a[-1]
-        return goal == path_b[-1] or goal in path_b[max(0, ta + len(path_a) - tb):]
 
     def run_events(self) -> str:
         if self.cfg.model == SEQ:

@@ -36,7 +36,9 @@ Plans are stepped in a compiled form, :class:`Compiled`, built once per
   ``Compiled.status`` table the status of one agent code.
 
 :func:`step_syn`, :func:`activate_seq` and :func:`crash_seq` are the only
-stepping code. The runners here and both verifiers call them.
+stepping code. The runners here and both verifiers call them, on plans
+that passed :func:`check_executable`: the tables take every path to be
+non-empty and every rule to name a path and index the plan has.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import NFD, SEQ, SYN, Instance, Solution
+from .core import NFD, SEQ, SYN, Instance, Solution, validate_solution
 
 CORRECT_ST = "correct"
 CRASHED_ST = "crashed"
@@ -75,6 +77,15 @@ def _trigger_code(fd: str, trigger) -> "int | None":
     return CRASHED_NAMED_OBS + trigger.agent if fd == NFD else None
 
 
+def check_executable(inst: Instance, sol: Solution) -> None:
+    """Raise ``ValueError`` for a solution that fails the structure check
+    of ``validate_solution(strict=False)``: the check both runners and the
+    verifier make before they compile a plan."""
+    bad = validate_solution(inst, sol, strict=False)
+    if bad:
+        raise ValueError("solution is not executable: " + "; ".join(bad))
+
+
 class Compiled:
     """An (instance, solution) pair compiled into flat integer step tables.
 
@@ -85,8 +96,8 @@ class Compiled:
     the path's end, -1 unless the code is correct), ``crash`` (-1 if
     already crashed), ``arrive`` (the done code at the goal end of a path,
     else the code itself), ``rules`` and ``watched`` (bit v set when a rule
-    parked at the code watches vertex v). Raises ``ValueError`` for an
-    empty path or a rule that switches to a path the plan does not have.
+    parked at the code watches vertex v). The solution must pass
+    :func:`check_executable`.
     """
 
     __slots__ = ("init", "vertex", "status", "seen", "step", "crash", "arrive", "rules",
@@ -96,12 +107,10 @@ class Compiled:
         # code numbers of each path's first position, agent by agent
         self._first = first = []
         n = 0
-        for a, plan in enumerate(sol.plans):
+        for plan in sol.plans:
             first.append([])
-            for p, path in enumerate(plan.paths):
-                if not path:
-                    raise ValueError(f"agent {a} path {p} is empty")
-                first[a].append(n)
+            for path in plan.paths:
+                first[-1].append(n)
                 n += 3 * len(path)
         self.vertex = vertex = [0] * n
         self.step = step = [-1] * n
@@ -125,12 +134,8 @@ class Compiled:
                     arrive[end - 3] = end - 1
             parked: dict = {}
             for r in plan.rules:
-                if not 0 <= r.to_path < len(plan.paths):
-                    raise ValueError(f"agent {a} rule {r.from_path}@{r.at_index} "
-                                     f"switches to path {r.to_path}, which does not exist")
                 obs = _trigger_code(sol.fd, r.trigger)
-                if obs is not None and 0 <= r.from_path < len(plan.paths) \
-                        and 1 <= r.at_index <= len(plan.paths[r.from_path]):
+                if obs is not None:
                     c = first[a][r.from_path] + 3 * (r.at_index - 1)
                     parked.setdefault(c, []).append((r.watch, obs, first[a][r.to_path], r))
             for c, parked_here in parked.items():
@@ -279,9 +284,11 @@ def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> Run
     Ends when every agent is done or crashed, on a collision, or when the
     configuration stops changing / repeats with no crashes left to apply.
     Crashes beyond the instance's budget ``f`` are applied, with a warning
-    in the trace. Raises ``ValueError`` for an agent that does not exist
-    or a round before the first.
+    in the trace. Raises ``ValueError`` for a solution
+    :func:`check_executable` rejects, an agent that does not exist or a
+    round before the first.
     """
+    check_executable(inst, sol)
     for a, t in crash_times.items():
         if not 0 <= a < inst.n_agents:
             raise ValueError(f"crash names agent {a}, but agents are 0..{inst.n_agents - 1}")
@@ -340,15 +347,13 @@ def activate_seq(cp: Compiled, cfg, a: int, trace=None):
     vertex = cp.vertex
     d = step[c]
     if d != c:
-        here, w = vertex[c], vertex[d]
-        if w == here:
-            raise ValueError("sequential paths cannot contain waits")
+        w = vertex[d]
         others = list(map(vertex.__getitem__, cfg))
         del others[a]
         if w in others:
             d = c
         elif trace is not None:
-            trace.note(f"move agent={a} {here}->{w}")
+            trace.note(f"move agent={a} {vertex[c]}->{w}")
     done = cp.arrive[d]
     if done != d and trace is not None:
         trace.note(f"done agent={a}")
@@ -371,8 +376,10 @@ def run_seq(inst: Instance, sol: Solution, schedule) -> RunResult:
     ``schedule`` is a sequence of ("activate", agent) / ("crash", agent)
     actions. The outcome is "arrived" if afterwards every non-crashed agent
     is done, else "stuck" with the leftover correct agents. Raises
-    ``ValueError`` for an action on an agent that does not exist.
+    ``ValueError`` for a solution :func:`check_executable` rejects or an
+    action on an agent that does not exist.
     """
+    check_executable(inst, sol)
     trace = Trace()
     cp = Compiled(inst, sol)
     cfg = cp.init

@@ -144,6 +144,15 @@ class Reservations:
             return False
         return self._last.get(v, 0) < t
 
+    def admits(self, timing: Timing) -> bool:
+        """The timed path meets no reservation, swaps with none, and parks
+        its last vertex where nothing comes later or parks."""
+        return (
+            not any(self.blocked_at(v, t) for v, times in timing.visits.items() for t in times)
+            and not any(self.swap(u, w, t) for t, (u, w) in timing.hops)
+            and self.free_forever(timing.path[-1], timing.end + 1)
+        )
+
 
 # Arrival slacks, over the goal distance, of the bounded tries of
 # ``find_path_syn``; one unbounded try follows them.

@@ -13,13 +13,13 @@ Both models use one explorer, ``_state_graph``. It builds, breadth-first,
 the graph whose states are (configuration, remaining crash budget) pairs
 and whose edges are adversary steps: a round with its crash set in the
 synchronous model, one activation or one crash in the sequential model.
-Each model only says which steps leave a state. A configuration is the
-execution module's int configuration of the plan compiled once per group
-(``execution.Compiled``): one small int per agent for its path position
-and status, so a state is a tuple of ints and an int. The verifier never
-takes one apart; it steps with ``execution.step_syn``, ``activate_seq``
-and ``crash_seq`` and reads an agent's status from the plan's ``status``
-table.
+Each model only says which steps leave a state. A configuration is a
+slice of the execution module's int configuration of the plan, compiled
+once per call (``execution.Compiled``): one small int per agent of the
+explored group for its path position and status, so a state is a tuple
+of ints and an int. The verifier never takes one apart; it steps with
+``execution.step_syn``, ``activate_seq`` and ``crash_seq`` and reads an
+agent's status from the plan's ``status`` table.
 
 * Synchronous: settled states (no correct agent left) stay out of the
   graph. A colliding step refutes the plan the moment the build meets it.
@@ -97,6 +97,21 @@ therefore sound and complete:
   correct and unfinished there. So that component is a fair livelock for
   the group, and the group is refuted too.
 
+A group is explored as a slice of the whole plan's compiled tables, in
+the instance's own agent numbering: its configuration holds the codes of
+its agents only, in id order, and the steppers step it as they step a
+whole configuration. Agent codes of different agents lie in disjoint
+ranges of the tables, and a crashed agent's nfd observation code carries
+its own id, so a slice steps exactly as the group would alone. A rule
+whose trigger names an agent of another group stays compiled but never
+fires: that agent never stands in the group's configuration, so no
+vertex the rule watches ever shows its crash. The steppers index a slice
+by position; the explorers map each position i back to the group's i-th
+agent id, so counterexamples name the instance's agents and replay on
+the whole instance. The plan is compiled at the first group that is
+explored, so a plan whose groups are all decided by inspection (below)
+is never compiled.
+
 A group of one agent is decided without exploring when its primary path
 ends at its goal and none of its rules has a ``vacant`` trigger. Alone,
 the agent sees every vertex it watches vacant (the plan passed the
@@ -120,15 +135,16 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core import SEQ, SYN, Instance, Plan, Solution, crashed, validate_solution
+from .core import SEQ, SYN, Instance, Solution
 from .execution import (
     CORRECT_ST,
     CRASHED_ST,
     DONE_ST,
     Compiled,
     activate_seq,
+    check_executable,
     crash_seq,
     step_syn,
 )
@@ -181,12 +197,6 @@ class _TooLarge(Exception):
     pass
 
 
-def _check_structure(inst: Instance, sol: Solution) -> None:
-    bad = validate_solution(inst, sol, strict=False)
-    if bad:
-        raise ValueError("solution is not executable: " + "; ".join(bad))
-
-
 def _crash_subsets(status, cfg, budget):
     """The sets of at most ``budget`` agents of ``cfg`` not crashed yet, as
     sorted tuples, the empty set first; ``status`` maps agent codes to
@@ -228,51 +238,7 @@ def interaction_components(sol: Solution) -> "list[tuple[int, ...]]":
     return sorted(tuple(g) for g in groups.values())
 
 
-def _restrict(inst: Instance, sol: Solution, ids) -> "tuple[Instance, Solution]":
-    """The instance and solution of agents ``ids`` alone, renumbered 0..k-1.
-
-    nfd triggers are renumbered too. A rule whose trigger names an agent
-    outside ``ids`` is dropped: that agent never stands on the watched
-    vertex, so the rule never fires.
-    """
-    if len(ids) == inst.n_agents:
-        return inst, sol
-    local = {a: i for i, a in enumerate(ids)}
-    plans = []
-    for a in ids:
-        rules = []
-        for r in sol.plans[a].rules:
-            who = r.trigger.agent
-            if who is None:
-                rules.append(r)
-            elif who in local:
-                rules.append(replace(r, trigger=crashed(local[who])))
-        plans.append(Plan(sol.plans[a].paths, tuple(rules)))
-    sub = Instance(
-        inst.graph, tuple(inst.starts[a] for a in ids), tuple(inst.goals[a] for a in ids), inst.f
-    )
-    return sub, Solution(sol.model, sol.fd, tuple(plans))
-
-
-def _lift(ce: Counterexample, ids) -> Counterexample:
-    """``ce`` with the group's agent numbers replaced by the instance's."""
-
-    def actions(seq):
-        return None if seq is None else [(op, ids[a]) for op, a in seq]
-
-    crash_times = ce.crash_times
-    if crash_times is not None:
-        crash_times = {ids[a]: t for a, t in crash_times.items()}
-    return replace(
-        ce,
-        agents=tuple(ids[a] for a in ce.agents),
-        crash_times=crash_times,
-        schedule=actions(ce.schedule),
-        cycle=actions(ce.cycle),
-    )
-
-
-def _round_robin(inst: Instance, sol: Solution, group) -> "tuple[list, list]":
+def _round_robin(cp: Compiled, group) -> "tuple[list, list]":
     """Crash-free round-robin activations of ``group`` from the start.
 
     Returns (lead-in, repeating rounds): the whole run and no rounds when
@@ -281,15 +247,14 @@ def _round_robin(inst: Instance, sol: Solution, group) -> "tuple[list, list]":
     lead back to it.
     """
     rnd = [("activate", a) for a in group]
-    cp = Compiled(inst, sol)
-    cfg = cp.init
+    cfg = tuple(cp.init[a] for a in group)
     seen = {cfg: 0}
     rounds = 0
     while True:
-        if all(cp.status[cfg[a]] != CORRECT_ST for a in group):
+        if cp.settled(cfg):
             return rnd * rounds, []
-        for a in group:
-            cfg = activate_seq(cp, cfg, a)
+        for i in range(len(group)):
+            cfg = activate_seq(cp, cfg, i)
         rounds += 1
         if cfg in seen:
             return rnd * seen[cfg], rnd * (rounds - seen[cfg])
@@ -314,8 +279,11 @@ def _verify_split(inst, sol, model, f, state_cap, explore) -> VerifyResult:
     """Run ``explore`` on each interaction group with the full budget,
     except the lone agents ``_walks_alone`` decides.
 
-    ``explore(inst, sol, budget, cap)`` returns (states explored,
-    counterexample or None) or raises ``_TooLarge(states explored)``.
+    Every group is a slice of one plan compiled for the whole instance,
+    built at the first group that is explored, so a plan of decided lone
+    agents is never compiled. ``explore(cp, ids, budget, cap)`` returns
+    (states explored, counterexample or None), the counterexample in the
+    instance's agent numbering, or raises ``_TooLarge(states explored)``.
     Raises ``ValueError`` unless ``f`` is None or an int >= 0 and
     ``state_cap`` is an int >= 0.
     """
@@ -323,16 +291,18 @@ def _verify_split(inst, sol, model, f, state_cap, explore) -> VerifyResult:
         raise ValueError(f"crash budget f must be None or an int >= 0, got {f!r}")
     if not _is_count(state_cap):
         raise ValueError(f"state_cap must be an int >= 0, got {state_cap!r}")
-    _check_structure(inst, sol)
+    check_executable(inst, sol)
     budget = inst.f if f is None else f
     groups = interaction_components(sol)
     total = 0
+    cp = None
     for ids in groups:
         if len(ids) == 1 and _walks_alone(inst, sol, ids[0]):
             continue
-        sub_inst, sub_sol = _restrict(inst, sol, ids)
+        if cp is None:
+            cp = Compiled(inst, sol)
         try:
-            explored, ce = explore(sub_inst, sub_sol, budget, state_cap - total)
+            explored, ce = explore(cp, ids, budget, state_cap - total)
         except _TooLarge as exc:
             return VerifyResult(
                 "too_large",
@@ -344,12 +314,11 @@ def _verify_split(inst, sol, model, f, state_cap, explore) -> VerifyResult:
         total += explored
         if ce is None:
             continue
-        ce = _lift(ce, ids)
         if ce.kind == "livelock":
             # the other groups must move too, or the schedule is not fair
             for other in groups:
                 if other != ids:
-                    lead, rounds = _round_robin(inst, sol, other)
+                    lead, rounds = _round_robin(cp, other)
                     ce.schedule += lead
                     ce.cycle += rounds
         return VerifyResult(
@@ -430,12 +399,14 @@ def verify_syn(
     return _verify_split(inst, sol, SYN, f, state_cap, _explore_syn)
 
 
-def _explore_syn(inst: Instance, sol: Solution, budget0: int, state_cap: int):
-    cp = Compiled(inst, sol)
-    if cp.settled(cp.init):
+def _explore_syn(cp: Compiled, ids, budget0: int, state_cap: int):
+    """The group ``ids``' graph; configurations are its slice of ``cp``'s,
+    so a configuration's index i is agent ``ids[i]``."""
+    init = tuple(cp.init[a] for a in ids)
+    if cp.settled(init):
         return 0, None
     status, vertex, watched = cp.status, cp.vertex, cp.watched
-    nowhere = (0,) * len(cp.init)
+    nowhere = (0,) * len(init)
     runs: dict = {}  # configuration -> run_masks(configuration)
 
     def run_masks(cfg):
@@ -513,11 +484,11 @@ def _explore_syn(inst: Instance, sol: Solution, budget0: int, state_cap: int):
             if coll is not None or not cp.settled(nxt):
                 yield crash_set, (nxt, budget - len(crash_set)), coll
 
-    states, edges, fault = _state_graph((cp.init, budget0), moves, state_cap)
+    states, edges, fault = _state_graph((init, budget0), moves, state_cap)
     if fault is not None:
         si, crash_set, coll = fault
         prefix = _walk(edges, 0, si) + [crash_set]
-        kind, agents = "collision", coll.agents
+        kind, agents = "collision", tuple(ids[a] for a in coll.agents)
         detail = f"{coll.kind} collision at {coll.where} in round {len(prefix)}"
     else:
         # a cycle takes crash-free steps only, and a state's crash-free step
@@ -536,9 +507,9 @@ def _explore_syn(inst: Instance, sol: Solution, budget0: int, state_cap: int):
             return len(states), None
         prefix = _walk(edges, 0, si)
         kind = "stuck"
-        agents = tuple(a for a, c in enumerate(states[si][0]) if cp.status[c] == CORRECT_ST)
+        agents = tuple(a for a, c in zip(ids, states[si][0]) if status[c] == CORRECT_ST)
         detail = f"the configuration of round {len(prefix)} repeats forever if nobody else crashes"
-    crash_times = {a: t for t, crash_set in enumerate(prefix, 1) for a in crash_set}
+    crash_times = {ids[a]: t for t, crash_set in enumerate(prefix, 1) for a in crash_set}
     return len(states), Counterexample(kind, agents=agents, crash_times=crash_times, detail=detail)
 
 
@@ -561,10 +532,11 @@ def verify_seq(
     return _verify_split(inst, sol, SEQ, f, state_cap, _explore_seq)
 
 
-def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
-    activate = [("activate", a) for a in inst.agents()]
-    crash = [("crash", a) for a in inst.agents()]
-    cp = Compiled(inst, sol)
+def _explore_seq(cp: Compiled, ids, budget0: int, state_cap: int):
+    """The group ``ids``' graph, on slices of ``cp``'s configurations as in
+    ``_explore_syn``; actions name the agents of ``ids``."""
+    activate = [("activate", a) for a in ids]
+    crash = [("crash", a) for a in ids]
     status = cp.status
 
     def moves(state):
@@ -576,7 +548,7 @@ def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
             if st != CRASHED_ST and budget > 0:
                 yield crash[a], (crash_seq(cp, cfg, a), budget - 1), None
 
-    states, edges, _ = _state_graph((cp.init, budget0), moves, state_cap)
+    states, edges, _ = _state_graph((tuple(cp.init[a] for a in ids), budget0), moves, state_cap)
     n_states = len(states)
 
     # (a) an unfinished correct agent that can never finish again
@@ -584,7 +556,7 @@ def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
     for si, outs in enumerate(edges):
         for di, _ in outs:
             rev[di].append(si)
-    for x in inst.agents():
+    for x in range(len(ids)):
         good = [si for si, (cfg, _) in enumerate(states) if status[cfg[x]] == DONE_ST]
         can = [False] * n_states
         stack = list(good)
@@ -600,14 +572,14 @@ def _explore_seq(inst: Instance, sol: Solution, budget0: int, state_cap: int):
             if status[cfg[x]] == CORRECT_ST and not can[si]:
                 return n_states, Counterexample(
                     "unreachable_goal",
-                    agents=(x,),
+                    agents=(ids[x],),
                     schedule=_walk(edges, 0, si),
                     detail="the agent can never finish after this prefix",
                 )
 
     # (b) fair livelock: a crash-free cycle activating every unfinished
     # correct agent without finishing anyone
-    return n_states, _fair_livelock(status, states, edges)
+    return n_states, _fair_livelock(status, ids, states, edges)
 
 
 def _sccs(n: int, adj: "list[list[int]]") -> list[list[int]]:
@@ -660,8 +632,9 @@ def _sccs(n: int, adj: "list[list[int]]") -> list[list[int]]:
     return out
 
 
-def _fair_livelock(status, states, edges) -> "Counterexample | None":
-    """``status`` maps the agent codes of ``states`` to statuses."""
+def _fair_livelock(status, ids, states, edges) -> "Counterexample | None":
+    """``status`` maps the agent codes of ``states`` to statuses, and the
+    configurations of ``states`` are slices over agents ``ids``."""
     act_adj = [[di for di, action in outs if action[0] == "activate"] for outs in edges]
     for comp in sorted(_sccs(len(states), act_adj), key=min):
         comp_set = set(comp)
@@ -670,7 +643,7 @@ def _fair_livelock(status, states, edges) -> "Counterexample | None":
         # activations never make a done agent correct again, so the
         # unfinished correct agents are the same all over the component
         cfg, _budget = states[comp[0]]
-        pending = tuple(a for a, c in enumerate(cfg) if status[c] == CORRECT_ST)
+        pending = tuple(a for a, c in zip(ids, cfg) if status[c] == CORRECT_ST)
         if not pending:
             continue
         inner = {si: [(di, action) for di, action in edges[si]

@@ -265,6 +265,37 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"#2 names agent {agent}" in err
 
+    def test_seq_crash_flag_is_an_error(self, tmp_path, capsys):
+        # a seq run crashes agents by schedule lines only
+        inst = gen_fixture(tmp_path, "fig1")
+        ref = tmp_path / "fig1.instance.ref-seq-afd.json"
+        sched = tmp_path / "sched.txt"
+        sched.write_text("activate 1\n")
+        code = run_cli(
+            "simulate", "--instance", str(inst), "--solution", str(ref),
+            "--schedule", str(sched), "--crash", "1@1",
+        )
+        assert code == 1
+        assert "sequential solutions take --schedule, not --crash" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda plan: plan["rules"][0].update(from_path=7), "from_path out of range"),
+        (lambda plan: plan["paths"][0].__setitem__(2, 99), "vertex 99 out of range"),
+    ], ids=["rule-from-path-7", "vertex-99"])
+    def test_unexecutable_solution_is_an_error(self, tmp_path, capsys, damage, message):
+        # simulate refuses what verify refuses, with the same message
+        inst = gen_fixture(tmp_path, "fig1")
+        doc = fileio.read_doc(tmp_path / "fig1.instance.ref-syn-afd.json")
+        damage(doc["plans"][1])
+        bad = tmp_path / "bad.json"
+        fileio.write_doc(bad, doc)
+        for command in (["verify"], ["simulate", "--crash", "0@2"]):
+            code = run_cli(command[0], "--instance", str(inst), "--solution", str(bad),
+                           *command[1:])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: solution is not executable:") and message in err
+
     def test_crash_spec_syntax_error(self, tmp_path, capsys):
         inst = gen_fixture(tmp_path, "fig1")
         ref = tmp_path / "fig1.instance.ref-syn-afd.json"

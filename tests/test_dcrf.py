@@ -29,7 +29,7 @@ from mappcf.dcrf import (
 from mappcf.execution import run_syn
 from mappcf.fileio import parse_map
 from mappcf.gen import fixture, gen_well_formed, grid_graph, random_grid_map
-from mappcf.pathfind import Reservations, find_path_syn
+from mappcf.pathfind import Reservations, Timing, find_path_syn
 from mappcf.verify import verify, verify_syn
 from oracles import EveryEventPlanner
 
@@ -87,15 +87,13 @@ class TestPathsConflict:
     def test_syn_matches_reservations(self):
         # a path must not meet b, swap with it, or park its last vertex
         # where b passes later or parks; the reference asks Reservations
-        planner = Planner(fixture("fig1").instance, SolverConfig(model=SYN, fd=NFD))
+        # vertex by vertex and hop by hop
         rng = random.Random(5)
         hits = 0
         for _ in range(600):
             path_a = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 9)))
             path_b = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 9)))
             ea, eb = rng.randrange(1, 6), rng.randrange(1, 6)
-            planner.paths = [[path_a], [path_b]]
-            planner.entry = [[ea], [eb]]
             res = Reservations()
             res.add_path(path_b, eb)
             want = (
@@ -104,7 +102,7 @@ class TestPathsConflict:
                        for k, (u, w) in enumerate(zip(path_a, path_a[1:])) if u != w)
                 or not res.free_forever(path_a[-1], ea + len(path_a))
             )
-            assert planner._paths_conflict(0, 0, 1, 0) == want, (path_a, ea, path_b, eb)
+            assert res.admits(Timing(path_a, ea)) != want, (path_a, ea, path_b, eb)
             hits += want
         assert 100 < hits < 500
 

@@ -26,7 +26,7 @@ from mappcf.core import (
 )
 from mappcf.dcrf import SolverConfig, solve
 from mappcf.disjoint import solve_disjoint
-from mappcf.execution import CORRECT_ST, run_seq, run_syn
+from mappcf.execution import CORRECT_ST, Compiled, run_seq, run_syn
 from mappcf.fileio import parse_map
 from mappcf.gen import GiveUp, fixture, gen_well_formed, grid_graph
 from mappcf.pathfind import find_path_seq
@@ -34,7 +34,6 @@ from mappcf.verify import (
     DEFAULT_STATE_CAP,
     _explore_seq,
     _explore_syn,
-    _restrict,
     interaction_components,
     verify,
     verify_seq,
@@ -89,7 +88,7 @@ def explored_per_group(explore, inst, sol, f):
     agents included, each group verified with budget ``f``."""
     total = 0
     for ids in interaction_components(sol):
-        states, ce = explore(*_restrict(inst, sol, ids), f, DEFAULT_STATE_CAP)
+        states, ce = explore(Compiled(inst, sol), ids, f, DEFAULT_STATE_CAP)
         assert ce is None, (ids, ce)
         total += states
     return total
@@ -189,7 +188,7 @@ class TestRefutations:
 
     def test_nfd_triggers_are_renumbered_per_group(self):
         # the walker shifts the hexagon's agents to 1-3, so its nfd
-        # triggers only work if the group is renumbered consistently
+        # triggers name agents 1-3, which the group's slice must keep
         fx = fixture("seq_anonymous")
         inst, sol = side_by_side(walker(SEQ, NFD), (fx.instance, fx.solutions[0]))
         assert interaction_components(sol) == [(0,), (1, 2, 3)]
@@ -371,7 +370,7 @@ class TestGroupsAgreeWithWholeInstance:
             whole = _explore_syn if sol.model == SYN else _explore_seq
             groups = len(interaction_components(sol))
             for f in range(inst.f + 1):
-                _, ce = whole(inst, sol, f, DEFAULT_STATE_CAP)
+                _, ce = whole(Compiled(inst, sol), tuple(inst.agents()), f, DEFAULT_STATE_CAP)
                 r = verify(inst, sol, f=f)
                 assert r.status == ("verified" if ce is None else "refuted"), (inst, sol, f)
                 cases += 1
@@ -528,7 +527,8 @@ class TestSkippedCrashesAgainstCrashTree:
         monkeypatch.setattr(verify_module, "step_syn", counting)
         inst, sol = walker(SYN, NFD)
         inst = dataclasses.replace(inst, f=1)
-        assert _explore_syn(inst, sol, 1, DEFAULT_STATE_CAP) == (2, None) and len(calls) == 2
+        assert _explore_syn(Compiled(inst, sol), (0,), 1, DEFAULT_STATE_CAP) == (2, None)
+        assert len(calls) == 2
         # verify decides the lone walker by inspection, without a step
         calls.clear()
         r = verify_syn(inst, sol)
@@ -635,9 +635,27 @@ class TestLoneAgentsDecidedByInspection:
                 for ids in lone:
                     if verify_module._walks_alone(inst, sol, ids[0]):
                         decided += 1
-                        _, ce = explore(*_restrict(inst, sol, ids), f, DEFAULT_STATE_CAP)
+                        _, ce = explore(Compiled(inst, sol), ids, f, DEFAULT_STATE_CAP)
                         assert ce is None, (inst, sol, ids, f)
         assert cases >= 2000 and refuted >= 250 and decided >= 5000
+
+    def test_plans_of_lone_walkers_are_never_compiled(self, monkeypatch):
+        # disjoint plans and seq dcrf plans are lone agents on their
+        # primaries, so verify decides them without compiling the plan
+        def no_compile(*args):
+            raise AssertionError("compiled a plan of lone walkers")
+
+        monkeypatch.setattr(verify_module, "Compiled", no_compile)
+        for seed, inst in crash_tree_instances():
+            plans = [solve_disjoint(inst, model, NFD, deadline=10.0).solution
+                     for model in (SYN, SEQ)]
+            plans.append(solve(inst, SolverConfig(model=SEQ, fd=NFD, seed=seed)).solution)
+            if None not in plans:
+                break
+        for sol in plans:
+            assert len(interaction_components(sol)) == inst.n_agents
+            r = verify(inst, sol)
+            assert r.ok and r.states_explored == 0
 
     @pytest.mark.parametrize("model", [SYN, SEQ])
     @pytest.mark.parametrize("fd, rule", [(AFD, CRASHED_ANON), (NFD, crashed(0))])
