@@ -187,6 +187,15 @@ def mask_vertices(mask: int) -> list[int]:
     return out
 
 
+def shared_vertices(masks) -> int:
+    """Vertices shared between pairs of :func:`vertex_mask` sets, summed
+    over every pair: a vertex in k of the sets counts k*(k-1)/2 times."""
+    total = 0
+    for a, b in itertools.combinations(masks, 2):
+        total += (a & b).bit_count()
+    return total
+
+
 def reachable(graph: Graph, source: int, target: int, blocked=frozenset()) -> bool:
     return bfs_distances(graph, source, blocked, stop=target)[target] >= 0
 

@@ -66,7 +66,9 @@ from .core import (
     TransitionRule,
     cpu_deadline,
     crashed,
+    shared_vertices,
     validate_instance,
+    vertex_mask,
     _path_violations,
 )
 from .pathfind import Reservations, Timing, find_path_seq, find_path_syn, goal_distances
@@ -387,15 +389,16 @@ class Planner:
                 timed.append((p, 1))
                 got[a] = p
         else:
-            used: set = set()
+            goals = vertex_mask(inst.goals)
+            used = 0
             for a in order:
                 self._tick()
-                forbidden = {inst.goals[b] for b in inst.agents() if b != a} | used
-                p = find_path_seq(inst.graph, inst.starts[a], inst.goals[a], frozenset(forbidden))
-                if p is None:
+                forbidden = (goals & ~(1 << inst.goals[a])) | used
+                found = find_path_seq(inst.graph, inst.starts[a], inst.goals[a], forbidden)
+                if found is None:
                     return False
-                used |= set(p)
-                got[a] = p
+                got[a], path_mask, _ = found
+                used |= path_mask
         self._install_primaries([got[a] for a in inst.agents()])
         return True
 
@@ -411,15 +414,6 @@ class Planner:
         inst = self.inst
         order = list(order) if order is not None else list(inst.agents())
         adopted = 0
-
-        def shared_total(paths) -> int:
-            total = 0
-            sets = [set(p) for p in paths]
-            for i in range(len(sets)):
-                for j in range(i + 1, len(sets)):
-                    total += len(sets[i] & sets[j])
-            return total
-
         for _ in range(passes):
             changed = False
             for a in order:
@@ -430,9 +424,10 @@ class Planner:
                                     penalize=True)
                 if cand is None or len(cand) > len(cur[a]) or cand == cur[a]:
                     continue
-                trial = list(cur)
-                trial[a] = cand
-                if shared_total(trial) < shared_total(cur):
+                masks = [vertex_mask(p) for p in cur]
+                before = shared_vertices(masks)
+                masks[a] = vertex_mask(cand)
+                if shared_vertices(masks) < before:
                     self.paths[a][0] = cand
                     adopted += 1
                     changed = True

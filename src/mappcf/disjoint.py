@@ -9,7 +9,7 @@ frequently do not exist at all.
 The search is a small conflict-based search. The high level picks a
 vertex shared by two planned paths, cardinal conflicts first, and
 branches on which of the two agents must avoid it. The low level replans
-that one agent with ``find_path_seq_mask``, which returns the agent's
+that one agent with ``find_path_seq``, which returns the agent's
 shortest path under its constraints together with the path's cut set:
 the vertices every such shortest path visits. The cut sets classify the
 conflicts, so no search beyond the replan itself is needed. Constraint
@@ -32,7 +32,7 @@ true cut set of its strengthened constraints.
 Every vertex set the search keeps is an int bitmask (bit v = vertex v):
 each agent's forbidden set, path vertex set and cut set, the keys of the
 closed set, and the penalty a replan builds from the other agents' paths.
-The low level works on the masks directly (``find_path_seq_mask``,
+The low level works on the masks directly (``find_path_seq``,
 ``must_visit_mask``), and conflicts are read off by mask intersection,
 lowest bit first, which is the ascending vertex order of a sorted set. A
 node therefore holds 3n ints and n path tuples, the tuples shared with its
@@ -59,11 +59,11 @@ from .core import (
     Plan,
     Solution,
     cpu_deadline,
+    shared_vertices,
     validate_instance,
     vertex_mask,
 )
-# find_path_seq stays bound here: perfbench/tracer.py wraps it at this name
-from .pathfind import find_path_seq, find_path_seq_mask, must_visit_mask  # noqa: F401
+from .pathfind import find_path_seq, must_visit_mask
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,6 @@ def _put(t: tuple, i: int, x) -> tuple:
     return t[:i] + (x,) + t[i + 1 :]
 
 
-def _conflict_count(sets) -> int:
-    total = 0
-    for sa, sb in itertools.combinations(sets, 2):
-        total += (sa & sb).bit_count()
-    return total
-
-
 def solve_disjoint(
     inst: Instance,
     model: str = SYN,
@@ -189,9 +182,7 @@ def solve_disjoint(
         for c, vs in enumerate(sets):
             if c != a:
                 penalty |= vs
-        return find_path_seq_mask(
-            inst.graph, inst.starts[a], inst.goals[a], forbidden, penalty
-        )
+        return find_path_seq(inst.graph, inst.starts[a], inst.goals[a], forbidden, penalty)
 
     def settle(forbids, paths, sets, cuts, changed) -> bool:
         """Propagate must-visit vertices to a fixpoint, in place.
@@ -218,10 +209,10 @@ def solve_disjoint(
                 if not sets[b] & must:
                     # still a shortest path: its cuts stay a sound subset
                     continue
-                p, vs, cut = replan(b, forbids[b], sets)
-                if p is None:
+                found = replan(b, forbids[b], sets)
+                if found is None:
                     return False
-                paths[b], sets[b], cuts[b] = p, vs, cut
+                paths[b], sets[b], cuts[b] = found
                 changed.add(b)
         return True
 
@@ -235,9 +226,10 @@ def solve_disjoint(
     for a in range(n):
         # the root plans in agent order, each agent steering away from the
         # agents planned before it
-        p, vs, cut = replan(a, forbids[a], sets)
-        if p is None:
+        found = replan(a, forbids[a], sets)
+        if found is None:
             return DisjointResult("infeasible", runtime=time.monotonic() - t0)
+        p, vs, cut = found
         paths.append(p)
         sets.append(vs)
         cuts.append(cut)
@@ -250,7 +242,7 @@ def solve_disjoint(
     root = tuple(forbids)
     seq = itertools.count()
     heap = [
-        (cost(paths), _conflict_count(sets), next(seq), root, tuple(paths), tuple(sets), tuple(cuts))
+        (cost(paths), shared_vertices(sets), next(seq), root, tuple(paths), tuple(sets), tuple(cuts))
     ]
     closed = {root}
     nodes = pruned = 0
@@ -279,11 +271,11 @@ def solve_disjoint(
             if child in closed:
                 continue
             closed.add(child)
-            p, vs, cut = replan(agent, child[agent], sets)
-            if p is None:
+            found = replan(agent, child[agent], sets)
+            if found is None:
                 continue
             cforbids, cpaths, csets, ccuts = list(child), list(paths), list(sets), list(cuts)
-            cpaths[agent], csets[agent], ccuts[agent] = p, vs, cut
+            cpaths[agent], csets[agent], ccuts[agent] = found
             if not settle(cforbids, cpaths, csets, ccuts, (agent,)):
                 pruned += 1
                 continue
@@ -296,7 +288,7 @@ def solve_disjoint(
                 heap,
                 (
                     cost(cpaths),
-                    _conflict_count(csets),
+                    shared_vertices(csets),
                     next(seq),
                     cforbids,
                     tuple(cpaths),

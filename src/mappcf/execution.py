@@ -284,10 +284,12 @@ def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> Run
     Ends when every agent is done or crashed, on a collision, or when the
     configuration stops changing / repeats with no crashes left to apply.
     Crashes beyond the instance's budget ``f`` are applied, with a warning
-    in the trace. Raises ``ValueError`` for a solution
-    :func:`check_executable` rejects, an agent that does not exist or a
-    round before the first.
+    in the trace. Raises ``ValueError`` for a sequential solution, a
+    solution :func:`check_executable` rejects, an agent that does not
+    exist or a round before the first.
     """
+    if sol.model != SYN:
+        raise ValueError(f"run_syn runs synchronous solutions, not {sol.model!r} ones")
     check_executable(inst, sol)
     for a, t in crash_times.items():
         if not 0 <= a < inst.n_agents:
@@ -376,9 +378,12 @@ def run_seq(inst: Instance, sol: Solution, schedule) -> RunResult:
     ``schedule`` is a sequence of ("activate", agent) / ("crash", agent)
     actions. The outcome is "arrived" if afterwards every non-crashed agent
     is done, else "stuck" with the leftover correct agents. Raises
-    ``ValueError`` for a solution :func:`check_executable` rejects or an
-    action on an agent that does not exist.
+    ``ValueError`` for a synchronous solution, a solution
+    :func:`check_executable` rejects or an action on an agent that does
+    not exist.
     """
+    if sol.model != SEQ:
+        raise ValueError(f"run_seq runs sequential solutions, not {sol.model!r} ones")
     check_executable(inst, sol)
     trace = Trace()
     cp = Compiled(inst, sol)

@@ -13,24 +13,21 @@ try is unbounded. That try, when no path exists, stops as soon as the
 set of reachable vertices repeats after the last reservation: from then
 on every step is the same, so the set, and the verdict, would repeat up
 to the horizon.
-``find_path_seq_mask`` finds the shortest simple path avoiding a
-forbidden vertex set, with the same tie-breaks, from a single BFS toward
-the goal: a step stays on a shortest path exactly when it lowers the
-distance to the goal by one. It returns that path together with its cut
-set, the vertices every such shortest path must visit, and
-``must_visit_mask`` scans a path for the vertices every route at all must
-visit. Each has one implementation, which gives its vertex sets as int
-bitmasks (bit v = vertex v), the form the disjoint CBS keeps them in.
-``find_path_seq`` is the path-only adapter for callers that hold Python
-sets.
+``find_path_seq`` finds the shortest simple path avoiding a forbidden
+vertex set, with the same tie-breaks, from a single BFS toward the goal:
+a step stays on a shortest path exactly when it lowers the distance to
+the goal by one. It returns that path together with its cut set, the
+vertices every such shortest path must visit, and ``must_visit_mask``
+scans a path for the vertices every route at all must visit. Both take
+and give their vertex sets as int bitmasks (bit v = vertex v), the form
+the disjoint CBS keeps them in.
 
 Both shortest-path searches settle their tie-breaks in one backward pass
 over their layers, which keeps each vertex's best step; the path then
 follows those steps from the start. The space-time layers of
-``find_path_syn`` are sets, built by set expressions. The shortest-path
-kernel under ``find_path_seq`` and ``find_path_seq_mask`` runs once per
-replan of the disjoint CBS, so it keeps to lists: its BFS is
-:func:`~mappcf.core.bfs_fill`, its layers are lists deduplicated by a
+``find_path_syn`` are sets, built by set expressions. ``find_path_seq``
+runs once per replan of the disjoint CBS, so it keeps to lists: its BFS
+is :func:`~mappcf.core.bfs_fill`, its layers are lists deduplicated by a
 ``bytearray`` mark, each vertex's best step and penalty count sit in
 n-long lists indexed by vertex, and the cut set and the path's mask are
 built as the layers are built and the path is walked.
@@ -41,7 +38,7 @@ a caller that reserves one path in many searches can build once.
 
 from __future__ import annotations
 
-from .core import Graph, Path, bfs_distances, bfs_fill, mask_vertices, vertex_mask
+from .core import Graph, Path, bfs_distances, bfs_fill, mask_vertices
 
 
 class Timing:
@@ -341,28 +338,17 @@ def _grow(adj, pred, start, goal, start_time, res, blocked, bound, dist):
         t += 1
 
 
-def find_path_seq(graph: Graph, start: int, goal: int, forbidden=frozenset(), penalty=frozenset()):
-    """Shortest simple path avoiding the vertex set ``forbidden``,
-    lexicographically smallest, or None when no path exists.
+def find_path_seq(graph: Graph, start: int, goal: int, forbidden: int = 0, penalty: int = 0):
+    """Shortest simple path avoiding ``forbidden``, lexicographically
+    smallest, with its vertex set and cut set: ``(path, path_mask, cuts)``,
+    or None when no path exists.
 
+    Every vertex set is an int bitmask (bit v = vertex v, see
+    :func:`~mappcf.core.vertex_mask`), ``forbidden`` and ``penalty`` too.
     Among equally short paths, one entering the fewest ``penalty`` vertices
-    is preferred (ties again broken lexicographically); with an empty
-    penalty set this is the plain lex-first shortest path. Follows edge
-    direction on directed graphs. ``start == goal`` yields the
-    single-vertex path. The vertex-set adapter of the kernel
-    :func:`_find_path_seq`; :func:`find_path_seq_mask` is its bitmask form,
-    which also gives the path's cut set.
-    """
-    return _find_path_seq(graph, start, goal, forbidden, vertex_mask(penalty))[0]
-
-
-def find_path_seq_mask(graph: Graph, start: int, goal: int, forbidden: int = 0, penalty: int = 0):
-    """The path of :func:`find_path_seq` and its cut set, over vertex
-    bitmasks (bit v = vertex v, see :func:`~mappcf.core.vertex_mask`), the
-    form the disjoint CBS keeps its sets in: ``(path, path_mask, cuts)``
-    with the path's vertex set and its cut set as bitmasks, or
-    ``(None, 0, 0)`` when no path exists. ``forbidden`` and ``penalty``
-    are bitmasks too.
+    is preferred (ties again broken lexicographically); with no penalty
+    this is the plain lex-first shortest path. Follows edge direction on
+    directed graphs. ``start == goal`` yields the single-vertex path.
 
     ``cuts`` holds the vertices that are alone in their layer of the
     shortest-path DAG, the start and the goal included (the goal is a layer
@@ -371,47 +357,34 @@ def find_path_seq_mask(graph: Graph, start: int, goal: int, forbidden: int = 0, 
     ``forbidden`` visits: forbidding one of them as well makes the path
     longer or impossible, and forbidding any other vertex leaves its length
     unchanged.
-    """
-    return _find_path_seq(graph, start, goal, mask_vertices(forbidden), penalty)
 
-
-def _find_path_seq(graph: Graph, start: int, goal: int, walls, penalty: int):
-    """The one search behind :func:`find_path_seq` and
-    :func:`find_path_seq_mask`: ``(path, path_mask, cuts)``, the two masks
-    as ints, or ``(None, 0, 0)``.
-
-    ``walls`` yields the forbidden vertices and ``penalty`` is a bitmask.
     The forbidden vertices are marked in the distance list before the
-    search starts, so the search never tests a set and only has to
-    enumerate them: a set caller hands its set over as it is, and the
-    bitmask form decodes its mask, so neither converts one form into the
-    other and back.
-
-    One BFS toward the goal (on the reversed graph when directed) gives
-    each vertex's distance to the goal; it stops once the start is
-    labelled, as every distance read below is smaller than the start's. A
-    step stays on a shortest path exactly when it lowers that distance by
-    one, so no distances from the start are needed: the shortest paths are
-    layered out from the start, each layer a list of the vertices one step
-    closer to the goal that the previous layer reaches, deduplicated by a
-    ``bytearray`` mark. A layer of one vertex is a cut vertex, noted as
-    the layer is built. A backward pass over the layers keeps, in n-long
-    lists, each vertex's fewest penalized entries still ahead (``ahead``,
-    its own entry counted) and the first step, in adjacency order, which
-    is ascending, that attains the fewest (``step``); the path follows the
-    kept steps, and its mask is built on the way.
+    search starts, so the search never tests a mask. One BFS toward the
+    goal (on the reversed graph when directed) gives each vertex's distance
+    to the goal; it stops once the start is labelled, as every distance
+    read below is smaller than the start's. A step stays on a shortest path
+    exactly when it lowers that distance by one, so no distances from the
+    start are needed: the shortest paths are layered out from the start,
+    each layer a list of the vertices one step closer to the goal that the
+    previous layer reaches, deduplicated by a ``bytearray`` mark. A layer
+    of one vertex is a cut vertex, noted as the layer is built. A backward
+    pass over the layers keeps, in n-long lists, each vertex's fewest
+    penalized entries still ahead (``ahead``, its own entry counted) and
+    the first step, in adjacency order, which is ascending, that attains
+    the fewest (``step``); the path follows the kept steps, and its mask is
+    built on the way.
     """
     dist = [-1] * graph.n
-    for v in walls:
+    for v in mask_vertices(forbidden):
         dist[v] = -2
     if dist[start] == -2 or dist[goal] == -2:
-        return None, 0, 0
+        return None
     if start == goal:
         return (start,), 1 << start, 1 << start
     bfs_fill(graph.reverse.adj, dist, goal, stop=start)
     top = dist[start]
     if top < 0:
-        return None, 0, 0
+        return None
     # vertices on some shortest path, one layer per step from the start
     adj = graph.adj
     seen = bytearray(graph.n)
@@ -458,8 +431,8 @@ def must_visit_mask(graph: Graph, path: Path, forbidden: int = 0) -> int:
 
     ``forbidden`` is a vertex bitmask too. ``path`` must be such a route,
     so all of these vertices lie on it (they are the goal's dominators from
-    the start). They are a subset of the cut set of
-    :func:`find_path_seq_mask`, which only asks about shortest routes.
+    the start). They are a subset of the cut set of :func:`find_path_seq`,
+    which only asks about shortest routes.
     Follows edge direction on directed graphs.
 
     One search from the start, O(V+E): ``m`` is the furthest path index

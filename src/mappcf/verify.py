@@ -583,52 +583,45 @@ def _explore_seq(cp: Compiled, ids, budget0: int, state_cap: int):
 
 
 def _sccs(n: int, adj: "list[list[int]]") -> list[list[int]]:
-    """Iterative Tarjan; returns strongly connected components."""
-    idx = [0] * n
-    low = [0] * n
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    comp_stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 1
+    """Strongly connected components, by Kosaraju's two passes.
+
+    An iterative depth-first search lists the vertices in the order they
+    finish; a search of the reversed graph from each vertex not yet
+    placed, latest finisher first, then collects exactly its component.
+    """
+    seen = bytearray(n)
+    order: list[int] = []
     for root in range(n):
-        if state[root]:
+        if seen[root]:
             continue
+        seen[root] = 1
         work = [(root, iter(adj[root]))]
-        idx[root] = low[root] = counter
-        counter += 1
-        state[root] = 1
-        comp_stack.append(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if state[w] == 0:
-                    idx[w] = low[w] = counter
-                    counter += 1
-                    state[w] = 1
-                    comp_stack.append(w)
+                if not seen[w]:
+                    seen[w] = 1
                     work.append((w, iter(adj[w])))
-                    advanced = True
                     break
-                elif state[w] == 1:
-                    if idx[w] < low[v]:
-                        low[v] = idx[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-            if low[v] == idx[v]:
-                comp = []
-                while True:
-                    w = comp_stack.pop()
-                    state[w] = 2
+            else:
+                work.pop()
+                order.append(v)
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w in adj[v]:
+            radj[w].append(v)
+    out: list[list[int]] = []
+    for root in reversed(order):
+        if not seen[root]:
+            continue
+        seen[root] = 0  # placed
+        comp = [root]
+        for v in comp:
+            for w in radj[v]:
+                if seen[w]:
+                    seen[w] = 0
                     comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
+        out.append(comp)
     return out
 
 

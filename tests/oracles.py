@@ -479,19 +479,18 @@ def bfs_fill(adj, dist, source, stop=-1):
     return dist
 
 
-def find_path_seq_mask(graph, start, goal, forbidden=0, penalty=0):
-    """``pathfind.find_path_seq_mask``: (path, path mask, cut mask), or
-    (None, 0, 0)."""
+def find_path_seq(graph, start, goal, forbidden=0, penalty=0):
+    """``pathfind.find_path_seq``: (path, path mask, cut mask), or None."""
     dist = [-1] * graph.n
     for v in _decode(forbidden):
         dist[v] = -2
     if dist[start] == -2 or dist[goal] == -2:
-        return None, 0, 0
+        return None
     if start == goal:
         return (start,), 1 << start, 1 << start
     bfs_fill(graph.reverse.adj, dist, goal, stop=start)
     if dist[start] < 0:
-        return None, 0, 0
+        return None
     adj = graph.adj
     layers = [{start}]
     for d in range(dist[start] - 1, 0, -1):
@@ -563,11 +562,13 @@ def must_visit_mask(graph, path, forbidden=0):
 
 
 def find_path_seq_cuts(graph, start, goal, forbidden=frozenset(), penalty=frozenset()):
-    """``pathfind.find_path_seq_mask`` over vertex sets: (path, cut set), or
+    """``pathfind.find_path_seq`` over vertex sets: (path, cut set), or
     (None, frozenset()) when no path exists."""
-    path, _, cuts = pathfind.find_path_seq_mask(graph, start, goal, vertex_mask(forbidden),
-                                                vertex_mask(penalty))
-    return path, frozenset(mask_vertices(cuts))
+    found = pathfind.find_path_seq(graph, start, goal, vertex_mask(forbidden),
+                                   vertex_mask(penalty))
+    if found is None:
+        return None, frozenset()
+    return found[0], frozenset(mask_vertices(found[2]))
 
 
 def must_visit(graph, path, forbidden=frozenset()):

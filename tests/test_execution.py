@@ -182,3 +182,12 @@ class TestDispatcher:
         assert r.outcome == "arrived"
         r = run(inst, seq, [("crash", 0)] + [("activate", 1)] * 3)
         assert r.outcome == "arrived"
+
+    def test_each_runner_refuses_the_other_model(self, fig1):
+        # a syn plan stepped under seq rules would take a wait for a move
+        # in place; each runner checks the model before it compiles
+        inst, syn, seq = fig1
+        with pytest.raises(ValueError, match="run_seq runs sequential"):
+            run_seq(inst, syn, [("activate", 1)] * 4)
+        with pytest.raises(ValueError, match="run_syn runs synchronous"):
+            run_syn(inst, seq, {})

@@ -1,11 +1,12 @@
 """The disjoint CBS's kernels against their references in ``oracles``.
 
-``core.bfs_fill``, ``pathfind.find_path_seq_mask`` and
+``core.bfs_fill``, ``pathfind.find_path_seq`` and
 ``pathfind.must_visit_mask`` run on benchmark-scale maps, a 16x16 and an
 8x8 grid map and a directed graph, with random forbidden and penalty
 masks. Each must give exactly what its reference gives: the same labels,
 with and without an early stop, the same path, path mask and cut mask,
-and the same must-visit mask. The brute-force tests in ``test_pathfind``
+with None exactly where the reference finds no path, and the same
+must-visit mask. The brute-force tests in ``test_pathfind``
 and ``test_core`` pin the kernels' meaning on small graphs; these pin
 their outputs at the scale the solvers run them.
 """
@@ -86,13 +87,13 @@ def test_kernels_match_their_references(name):
             forbidden &= ~(1 << start | 1 << goal)
         penalty = random_mask(rng, n, rng.choice((0.0, 0.1, 0.3, 0.6)))
 
-        got = pathfind.find_path_seq_mask(graph, start, goal, forbidden, penalty)
-        want = oracles.find_path_seq_mask(graph, start, goal, forbidden, penalty)
+        got = pathfind.find_path_seq(graph, start, goal, forbidden, penalty)
+        want = oracles.find_path_seq(graph, start, goal, forbidden, penalty)
         assert got == want, (name, case)
-        path = got[0]
-        if path is not None:
+        if got is not None:
+            path = got[0]
             found += 1
-            ties += path != pathfind.find_path_seq_mask(graph, start, goal, forbidden)[0]
+            ties += path != pathfind.find_path_seq(graph, start, goal, forbidden)[0]
             for route in (path, random_route(rng, graph, start, goal, forbidden)):
                 got_mv = pathfind.must_visit_mask(graph, route, forbidden)
                 assert got_mv == oracles.must_visit_mask(graph, route, forbidden), (name, case)

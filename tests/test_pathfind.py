@@ -10,7 +10,6 @@ from mappcf.gen import grid_graph
 from mappcf.pathfind import (
     Reservations,
     find_path_seq,
-    find_path_seq_mask,
     find_path_syn,
     goal_distances,
     must_visit_mask,
@@ -22,6 +21,11 @@ from oracles import (
     must_visit_vertices,
     simple_paths,
 )
+
+
+def seq_path(g, s, t, forbidden=frozenset(), penalty=frozenset()):
+    """The path :func:`find_path_seq` finds for vertex sets, or None."""
+    return find_path_seq_cuts(g, s, t, forbidden, penalty)[0]
 
 
 def random_connected_graph(rng, n):
@@ -117,13 +121,13 @@ def timed_case(g, s, t, reserved, blocked=frozenset(), penalty=frozenset(), star
 class TestFindPathSeq:
     def test_trivial_cases(self):
         g = grid_graph(3, 3)
-        assert find_path_seq(g, 4, 4) == (4,)
-        assert find_path_seq(g, 0, 0, forbidden=frozenset({0})) is None
-        assert find_path_seq(g, 0, 8, forbidden=frozenset({8})) is None
+        assert find_path_seq(g, 4, 4) == ((4,), 1 << 4, 1 << 4)
+        assert find_path_seq(g, 0, 0, forbidden=1 << 0) is None
+        assert find_path_seq(g, 0, 8, forbidden=1 << 8) is None
 
     def test_disconnection_returns_none(self):
         g = Graph.build(4, [(0, 1), (2, 3)])
-        assert find_path_seq(g, 0, 3) is None
+        assert seq_path(g, 0, 3) is None
 
     def test_matches_lexicographic_oracle(self):
         rng = random.Random(7)
@@ -131,7 +135,7 @@ class TestFindPathSeq:
             g = random_connected_graph(rng, rng.randrange(4, 10))
             s, t = rng.sample(range(g.n), 2)
             want = min(oracle_shortest_paths(g, s, t))
-            assert find_path_seq(g, s, t) == want
+            assert seq_path(g, s, t) == want
 
     def test_penalty_breaks_ties_only(self):
         rng = random.Random(11)
@@ -141,25 +145,25 @@ class TestFindPathSeq:
             pen = frozenset(rng.sample(range(g.n), rng.randrange(g.n)))
             cands = oracle_shortest_paths(g, s, t)
             want = min(cands, key=lambda p: (sum(1 for v in p if v in pen), p))
-            got = find_path_seq(g, s, t, penalty=pen)
+            got = seq_path(g, s, t, penalty=pen)
             assert got == want
             assert len(got) == len(cands[0])  # length never sacrificed
 
     def test_penalty_pins_on_grid(self):
         g = grid_graph(3, 3)
-        assert find_path_seq(g, 0, 8) == (0, 1, 2, 5, 8)
-        assert find_path_seq(g, 0, 8, penalty=frozenset({1, 2})) == (0, 3, 4, 5, 8)
-        assert find_path_seq(g, 0, 8, penalty=frozenset({3, 6})) == (0, 1, 2, 5, 8)
+        assert seq_path(g, 0, 8) == (0, 1, 2, 5, 8)
+        assert seq_path(g, 0, 8, penalty=frozenset({1, 2})) == (0, 3, 4, 5, 8)
+        assert seq_path(g, 0, 8, penalty=frozenset({3, 6})) == (0, 1, 2, 5, 8)
 
     def test_forbidden_reroutes(self):
         g = grid_graph(3, 3)
-        p = find_path_seq(g, 0, 8, forbidden=frozenset({1, 5}))
+        p = seq_path(g, 0, 8, forbidden=frozenset({1, 5}))
         assert p == (0, 3, 4, 7, 8)
 
     def test_directed_graph(self):
         g = Graph.build(3, [(0, 1), (1, 2)], directed=True)
-        assert find_path_seq(g, 0, 2) == (0, 1, 2)
-        assert find_path_seq(g, 2, 0) is None
+        assert seq_path(g, 0, 2) == (0, 1, 2)
+        assert seq_path(g, 2, 0) is None
 
     def test_matches_simple_path_oracle(self):
         # shortest, then fewest penalized entries after the start, then
@@ -181,7 +185,7 @@ class TestFindPathSeq:
                 key=lambda p: (len(p), sum(1 for v in p[1:] if v in penalty), p),
                 default=None,
             )
-            assert find_path_seq(g, s, t, forbidden, penalty) == want, case
+            assert seq_path(g, s, t, forbidden, penalty) == want, case
             found += want is not None
         assert 100 < found < 400  # both verdicts well represented
 
@@ -198,16 +202,15 @@ class TestFindPathSeq:
             forbidden = frozenset(rng.sample(range(n), rng.randrange(3)))
             penalty = frozenset(rng.sample(range(n), rng.randrange(n)))
             path, cuts = find_path_seq_cuts(g, s, t, forbidden, penalty)
-            assert path == find_path_seq(g, s, t, forbidden, penalty), case
             # the kernel under the set adapters: every set as a bitmask
-            got = find_path_seq_mask(g, s, t, vertex_mask(forbidden), vertex_mask(penalty))
-            assert got == (path, vertex_mask(path or ()), vertex_mask(cuts)), case
+            got = find_path_seq(g, s, t, vertex_mask(forbidden), vertex_mask(penalty))
             if path is None:
-                assert cuts == frozenset(), case
+                assert got is None and cuts == frozenset(), case
                 continue
+            assert got == (path, vertex_mask(path), vertex_mask(cuts)), case
             want = set()
             for v in path:
-                q = find_path_seq(g, s, t, forbidden | {v}, penalty)
+                q = seq_path(g, s, t, forbidden | {v}, penalty)
                 if q is None or len(q) > len(path):
                     want.add(v)
             assert cuts == want, case
@@ -243,7 +246,7 @@ class TestMustVisit:
             s, t = rng.sample(range(n), 2)
             forbidden = frozenset(rng.sample([v for v in range(n) if v not in (s, t)],
                                              rng.randrange(n // 3 + 1)))
-            shortest = find_path_seq(g, s, t, forbidden)
+            shortest = seq_path(g, s, t, forbidden)
             if shortest is None:
                 continue
             want = must_visit_vertices(g, s, t, forbidden)
@@ -316,7 +319,7 @@ class TestFindPathSyn:
         for _ in range(40):
             g = random_connected_graph(rng, rng.randrange(4, 9))
             s, t = rng.sample(range(g.n), 2)
-            assert find_path_syn(g, s, t) == find_path_seq(g, s, t)
+            assert find_path_syn(g, s, t) == seq_path(g, s, t)
 
     def test_waits_behind_lingerer(self):
         # 0-1-2 chain plus a side perch 3-1; the other agent sits on 1

@@ -26,7 +26,6 @@ from mappcf.execution import (
     step_syn,
 )
 from mappcf.gen import FIXTURE_NAMES, GiveUp, fixture, gen_well_formed, grid_graph
-from mappcf.pathfind import find_path_seq
 
 
 def traced(step, *args):
@@ -124,8 +123,9 @@ def test_random_plans_step_like_the_reference():
                 if res.solution is not None:
                     for variant in variants(res.solution):
                         compare_steps(inst, variant, seen)
-        paths = [find_path_seq(g, inst.starts[a], inst.goals[a],
-                               frozenset(inst.goals) - {inst.goals[a]}) for a in inst.agents()]
+        paths = [oracles.find_path_seq_cuts(g, inst.starts[a], inst.goals[a],
+                                            frozenset(inst.goals) - {inst.goals[a]})[0]
+                 for a in inst.agents()]
         if None not in paths:
             for model in (SYN, SEQ):
                 compare_steps(inst, Solution(model, NFD, tuple(Plan((p,)) for p in paths)), seen)

@@ -38,6 +38,8 @@ def test_install_wraps_and_uninstall_restores(monkeypatch):
             assert getattr(owner, attr) is not fn, attr
         res = dcrf.solve(fixture("fig6").instance, dcrf.SolverConfig(model=SYN, fd=NFD))
         assert res.ok
+        # the disjoint CBS replans through the search the tracer wraps
+        assert disjoint.solve_disjoint(fixture("fig8").instance).ok
         # the verifiers step through the names the tracer wraps
         for name in ("fig1", "seq_anonymous"):
             fx = fixture(name)
@@ -50,6 +52,7 @@ def test_install_wraps_and_uninstall_restores(monkeypatch):
     stats = tracer.stats
     for name in ("dcrf.solve", "dcrf.Planner.get_initial_plans", "dcrf.Planner.run_events",
                  "dcrf.Planner.find_backup_path", "pathfind.find_path_syn",
+                 "disjoint.solve_disjoint", "pathfind.find_path_seq",
                  "verify.verify_syn", "verify.verify_seq", "execution.step_syn",
                  "execution.activate_seq", "execution.crash_seq"):
         assert stats[name].calls > 0, name

@@ -5,7 +5,7 @@ import importlib
 import random
 
 import pytest
-from oracles import syn_fewest_collision_rounds, syn_survives
+from oracles import find_path_seq_cuts, syn_fewest_collision_rounds, syn_survives
 
 from mappcf.core import (
     AFD,
@@ -29,7 +29,6 @@ from mappcf.disjoint import solve_disjoint
 from mappcf.execution import CORRECT_ST, Compiled, run_seq, run_syn
 from mappcf.fileio import parse_map
 from mappcf.gen import GiveUp, fixture, gen_well_formed, grid_graph
-from mappcf.pathfind import find_path_seq
 from mappcf.verify import (
     DEFAULT_STATE_CAP,
     _explore_seq,
@@ -405,8 +404,8 @@ class TestGroupsAgreeWithWholeInstance:
                     if bare != res.solution:
                         check(inst, bare)
             # overlapping primaries, which solve refuses under seq
-            paths = [find_path_seq(g, inst.starts[a], inst.goals[a],
-                                   frozenset(inst.goals) - {inst.goals[a]})
+            paths = [find_path_seq_cuts(g, inst.starts[a], inst.goals[a],
+                                        frozenset(inst.goals) - {inst.goals[a]})[0]
                      for a in inst.agents()]
             if None not in paths:
                 check(inst, Solution(SEQ, NFD, tuple(Plan((p,)) for p in paths)))
