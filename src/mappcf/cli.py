@@ -12,6 +12,7 @@ produce identical artifacts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -72,7 +73,7 @@ def _cmd_solve(args) -> int:
     if args.f is not None:
         inst = replace(inst, f=args.f)
     if args.algo != "dcrf":
-        for flag in ("priority", "seed", "refine"):
+        for flag in ("priority", "seed"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} applies to dcrf only, not to --algo {args.algo}")
     priority = _read_priority(args.priority) if args.priority else None
@@ -81,7 +82,6 @@ def _cmd_solve(args) -> int:
         fd=args.fd,
         deadline=args.timeout,
         seed=args.seed or 0,
-        refine=args.refine != "off",
         priority=priority,
     )
     res = _run_algo(inst, args.algo, cfg)
@@ -205,6 +205,7 @@ def _cmd_gen(args) -> int:
 
 
 _BENCH_KEYS = ("map", "scen", "n", "f", "models", "fds", "algos", "seeds", "timeout")
+_BENCH_DEFAULTS = {"models": [SYN], "fds": [NFD], "algos": ["dcrf"]}
 
 
 def _bench_tasks(config: dict, base: Path) -> list[dict]:
@@ -221,30 +222,35 @@ def _bench_tasks(config: dict, base: Path) -> list[dict]:
         raise ValueError(
             f"bench config: timeout must be null or a number >= 0, got {timeout!r}"
         ) from None
+    # the grid's axes, in task order; None marks a list of ints
+    axes = {}
+    for key, allowed in (("n", None), ("f", None), ("models", MODELS), ("fds", DETECTORS),
+                         ("algos", ALGOS), ("seeds", None)):
+        vals = config.get(key, _BENCH_DEFAULTS.get(key))
+        if not isinstance(vals, list) or not all(
+                type(v) is int if allowed is None else v in allowed for v in vals):
+            want = "a list of ints" if allowed is None else f"a list drawn from {list(allowed)}"
+            raise ValueError(f"bench config: {key} must be {want}, got {vals!r}")
+        axes[key] = vals
     map_rel = config["map"]
     scen = config.get("scen")
-    tasks = []
-    for n in config["n"]:
-        for f in config["f"]:
-            for model in config.get("models", [SYN]):
-                for fd in config.get("fds", [NFD]):
-                    for algo in config.get("algos", ["dcrf"]):
-                        for seed in config["seeds"]:
-                            tasks.append(
-                                {
-                                    "map": str(base / map_rel),
-                                    "map_name": Path(map_rel).name,
-                                    "scen": str(base / scen) if scen else None,
-                                    "n": n,
-                                    "f": f,
-                                    "model": model,
-                                    "fd": fd,
-                                    "algo": algo,
-                                    "seed": seed,
-                                    "timeout": timeout,
-                                }
-                            )
-    return tasks
+    if not isinstance(map_rel, str) or not isinstance(scen, (str, type(None))):
+        raise ValueError(f"bench config: map and scen must be paths, got {map_rel!r}, {scen!r}")
+    return [
+        {
+            "map": str(base / map_rel),
+            "map_name": Path(map_rel).name,
+            "scen": str(base / scen) if scen else None,
+            "n": n,
+            "f": f,
+            "model": model,
+            "fd": fd,
+            "algo": algo,
+            "seed": seed,
+            "timeout": timeout,
+        }
+        for n, f, model, fd, algo, seed in itertools.product(*axes.values())
+    ]
 
 
 def bench_worker(task: dict) -> dict:
@@ -335,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--f", type=int, default=None, help="override the document's f")
     ps.add_argument("--seed", type=int, help="dcrf's restart seed (default 0)")
     ps.add_argument("--timeout", type=float, default=30.0)
-    ps.add_argument("--refine", choices=("on", "off"), help="dcrf's refinement pass (default on)")
     ps.add_argument("--priority", help="file pinning the planning order")
     ps.add_argument("--out", help="solution document path")
     ps.set_defaults(func=_cmd_solve)

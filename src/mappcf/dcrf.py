@@ -144,14 +144,20 @@ class Timeout(Exception):
     pass
 
 
+class NoBackup(Exception):
+    """The attempt failed: an event has no backup (see :meth:`Planner.run_events`)."""
+
+
+RESTARTS = 10  # seeded reshuffles after a failed first attempt
+REFINE_PASSES = 2  # rounds of :meth:`Planner.refine_initial_paths`
+
+
 @dataclass
 class SolverConfig:
     model: str = SYN
     fd: str = NFD
-    restarts: int = 10
     deadline: "float | None" = 30.0  # cpu-seconds budget for the whole solve
     seed: int = 0
-    refine: bool = True
     priority: "tuple[int, ...] | None" = None  # fixed order disables restarts
     initial_paths: "tuple[Path, ...] | None" = None  # forced primaries
 
@@ -223,8 +229,8 @@ class Planner:
         self.parent: list[list] = [[] for _ in range(n)]
         # per path: its crash alternatives, the crash sets it may run under
         self.alts: list[list[tuple[frozenset, ...]]] = [[] for _ in range(n)]
-        self.rules: list[list] = [[] for _ in range(n)]
-        self.rule_target: dict = {}
+        # per agent: slot (path, 1-based index) -> the rules parked there, in firing order
+        self.slots: list[dict] = [{} for _ in range(n)]
         self.queue: list = []
         self.resolved: list[Event] = []
         self._seen_crashes: set = set()
@@ -310,11 +316,11 @@ class Planner:
                     return True
         return False
 
-    def _coexisting(self, a: int, alts) -> "list[tuple[Path, int]]":
-        """The ``(path, entry)`` pairs of the other agents' paths that can
+    def _coexisting(self, a: int, alts) -> "list[tuple[int, int]]":
+        """The ``(agent, path)`` pairs of the other agents' paths that can
         run together with agent a under crash alternatives ``alts``."""
         return [
-            (self.paths[b][pb], self.entry[b][pb])
+            (b, pb)
             for b in self.inst.agents() if b != a
             for pb in range(len(self.paths[b]))
             if self._compatible(alts, a, b, pb)
@@ -364,7 +370,7 @@ class Planner:
             self.entry[a] = [1]
             self.parent[a] = [None]
             self.alts[a] = [(frozenset(),)]
-            self.rules[a] = []
+            self.slots[a] = {}
 
     def get_initial_plans(self, order=None) -> bool:
         """Prioritized planning of one primary path per agent.
@@ -402,7 +408,7 @@ class Planner:
         self._install_primaries([got[a] for a in inst.agents()])
         return True
 
-    def refine_initial_paths(self, order=None, passes: int = 2) -> int:
+    def refine_initial_paths(self, order=None) -> int:
         """Round-robin replanning that only accepts strict improvements.
 
         A candidate replaces an agent's primary iff it is no longer and
@@ -414,7 +420,7 @@ class Planner:
         inst = self.inst
         order = list(order) if order is not None else list(inst.agents())
         adopted = 0
-        for _ in range(passes):
+        for _ in range(REFINE_PASSES):
             changed = False
             for a in order:
                 self._tick()
@@ -437,17 +443,16 @@ class Planner:
 
     # -- stage 2: events ---------------------------------------------------
 
-    def _push_event(self, ev: Event) -> bool:
+    def _push_event(self, ev: Event) -> None:
         """Queue an event; a doomed one (see :meth:`_doomed`) is not
-        queued but ends ``resolved``, and False says the attempt failed."""
+        queued but ends ``resolved`` and raises :class:`NoBackup`."""
         if self._doomed(ev):
             self.resolved.append(ev)
-            return False
+            raise NoBackup
         eff = ev.effect
         key = (eff.when, eff.agent, ev.crash.agent, self._seq)
         heapq.heappush(self.queue, (key, ev))
         self._seq += 1
-        return True
 
     def _doomed(self, ev: Event) -> bool:
         """True if the event's backup search can only fail: with the crash
@@ -493,28 +498,22 @@ class Planner:
                     out.append((Crash(b, v, tb), eff))
         return out
 
-    def _gen_events_for(self, keys) -> bool:
+    def _gen_events_for(self, keys) -> None:
         """Queue events between each path (a, pa) in ``keys`` and every
         compatible path (both directions), deduplicating crashes already
         seen and merging indistinguishable candidates into a single event.
-        False if one of them is doomed (see :meth:`_push_event`).
+        Raises :class:`NoBackup` at the first doomed one (see
+        :meth:`_push_event`).
 
         All keys share one batch: under the anonymous detector only crashes
         collected into the same batch merge."""
         batch: dict = {}
         for a, pa in keys:
-            alts_a = self.alts[a][pa]
-            for b in self.inst.agents():
-                if b == a:
-                    continue
-                for pb in range(len(self.paths[b])):
-                    if not self._compatible(alts_a, a, b, pb):
-                        continue
-                    for cr, eff in self._pair_candidates(a, pa, b, pb):
-                        self._collect(batch, cr, eff)
-                    for cr, eff in self._pair_candidates(b, pb, a, pa):
-                        self._collect(batch, cr, eff)
-        return self._flush(batch)
+            for b, pb in self._coexisting(a, self.alts[a][pa]):
+                pairs = self._pair_candidates(a, pa, b, pb) + self._pair_candidates(b, pb, a, pa)
+                for cr, eff in pairs:
+                    self._collect(batch, cr, eff)
+        self._flush(batch)
 
     def _collect(self, batch: dict, cr: Crash, eff: Effect) -> None:
         exact = (eff.agent, eff.path, cr.agent, cr.vertex, cr.when)
@@ -527,14 +526,12 @@ class Planner:
             mkey = (eff.agent, eff.path, eff.at_index, cr.vertex)
         batch.setdefault(mkey, []).append((cr, eff))
 
-    def _flush(self, batch: dict) -> bool:
+    def _flush(self, batch: dict) -> None:
         for mkey in sorted(batch):
             entries = batch[mkey]
             entries.sort(key=lambda ce: ce[0])
             crashes = [ce[0] for ce in entries]
-            if not self._push_event(Event(crashes[0], entries[0][1], tuple(crashes[1:]))):
-                return False
-        return True
+            self._push_event(Event(crashes[0], entries[0][1], tuple(crashes[1:])))
 
     # -- stage 3: backup search -------------------------------------------
 
@@ -567,24 +564,19 @@ class Planner:
         blocked = self._chain_blocked(a, base) | {cr.vertex for cr in cands}
         blocked |= extra_blocked
         t_branch = self.entry[a][p] + c - 2
-        return self._search(a, branch_v, t_branch, frozenset(blocked), self._coexisting(a, alts))
+        timed = [(self.paths[b][pb], self.entry[b][pb]) for b, pb in self._coexisting(a, alts)]
+        return self._search(a, branch_v, t_branch, frozenset(blocked), timed)
 
     # -- stage 4: resolution loop -----------------------------------------
 
-    def _slot_siblings(self, a: int, slot_path: int, slot_idx: int):
-        """Indices (into rules[a]) of rules parked at one slot, in order."""
-        return [i for i, r in enumerate(self.rules[a])
-                if r.from_path == slot_path and r.at_index == slot_idx]
-
-    def _slot_blocked(self, a: int, slot_path: int, slot_idx: int, cands) -> set:
+    def _slot_blocked(self, a: int, slot, cands) -> set:
         """Crash vertices of dodges already parked at a slot that could be
         active together with this event's crashes. First-match sends every
         joint scenario through the newest rule, so a newer dodge has to
         steer clear of the older dodges' vertices."""
         mine = frozenset(cands)
         out = set()
-        for i in self._slot_siblings(a, slot_path, slot_idx):
-            r = self.rules[a][i]
+        for r in self.slots[a].get(slot, ()):
             theirs = frozenset(self.parent[a][r.to_path][2])
             if _coexists(mine, theirs, self.inst.f):
                 out.add(r.watch)
@@ -592,7 +584,8 @@ class Planner:
 
     def _slot(self, ev: Event):
         """``(redirect, slot path, slot index)``: where the event's rule is
-        parked.
+        parked, at the end of the slot's rules, or at their head when
+        redirected.
 
         In syn a switch consumes the whole round: the agent lands on the
         new path at index 1 and moves immediately, so a rule parked there
@@ -607,8 +600,9 @@ class Planner:
             return True, pp, pc - 1
         return False, p, c - 1
 
-    def resolve(self, ev: Event) -> str:
-        """Resolve one event; returns "ok" or "no_backup"."""
+    def resolve(self, ev: Event) -> None:
+        """Resolve one event; raises :class:`NoBackup` when it, or an event
+        its backup spawns, has no backup."""
         a = ev.effect.agent
         p = ev.effect.path
         c = ev.effect.at_index
@@ -616,33 +610,28 @@ class Planner:
         trigger = self._trigger_for(cands)
         watch = ev.crash.vertex
         redirect, slot_path, slot_idx = self._slot(ev)
-        rkey = (a, slot_path, slot_idx, watch, trigger)
-        existing = self.rule_target.get(rkey)
+        slot = (slot_path, slot_idx)
+        here = self.slots[a].setdefault(slot, [])
         self.resolved.append(ev)
-        if existing is not None:
-            return self._extend_backup(a, existing, cands)
+        for r in here:
+            if r.watch == watch and r.trigger == trigger:
+                self._extend_backup(a, r.to_path, cands)
+                return
         alts = self._probe_alts(a, slot_path, cands)
-        extra = frozenset()
-        if redirect:
-            extra = frozenset(self._slot_blocked(a, slot_path, slot_idx, cands))
+        extra = frozenset(self._slot_blocked(a, slot, cands)) if redirect else frozenset()
         new_path = self.find_backup_path(ev, slot_path, alts, extra)
         if new_path is None:
-            return "no_backup"
+            raise NoBackup
         np = len(self.paths[a])
         self.paths[a].append(new_path)
         self.parent[a].append((slot_path, slot_idx + 1, list(cands)))
         self.alts[a].append(alts)
         self.entry[a].append(self.entry[a][p] + c - 2)
         rule = TransitionRule(slot_path, slot_idx, watch, trigger, np)
-        if redirect:
-            group = self._slot_siblings(a, slot_path, slot_idx)
-            self.rules[a].insert(group[0] if group else len(self.rules[a]), rule)
-        else:
-            self.rules[a].append(rule)
-        self.rule_target[rkey] = np
-        return "ok" if self._gen_events_for([(a, np)]) else "no_backup"
+        here.insert(0 if redirect else len(here), rule)
+        self._gen_events_for([(a, np)])
 
-    def _extend_backup(self, a: int, target: int, cands) -> str:
+    def _extend_backup(self, a: int, target: int, cands) -> None:
         """A later crash candidate maps onto an existing rule: widen that
         backup's assumptions and make sure it stays collision-free against
         every path that now coexists with it.
@@ -655,29 +644,39 @@ class Planner:
         pp, _idx, stored = self.parent[a][target]
         add = [c for c in cands if c not in stored]
         if not add:
-            return "ok"
+            return
         stored.extend(add)
         alts = self.alts[a][target] = self._probe_alts(a, pp, stored)
-        res = self._reserved(self._coexisting(a, alts))
+        res = self._reserved((self.paths[b][pb], self.entry[b][pb])
+                             for b, pb in self._coexisting(a, alts))
         if not res.admits(self._timing(self.paths[a][target], self.entry[a][target])):
-            return "no_backup"
-        return "ok" if self._gen_events_for([(a, target)]) else "no_backup"
+            raise NoBackup
+        self._gen_events_for([(a, target)])
 
     def run_events(self) -> str:
+        """The event stage: "solved", or "no_backup" once some event has no
+        backup. Every site that finds such an event (a doomed event as it
+        is queued, a failed backup search, a widened backup that collides)
+        raises :class:`NoBackup`, which ends here."""
         if self.cfg.model == SEQ:
             return "solved"  # disjoint primaries: no crash blocks another agent
-        if not self._gen_events_for([(a, 0) for a in self.inst.agents()]):
+        try:
+            self._gen_events_for([(a, 0) for a in self.inst.agents()])
+            while self.queue:
+                self._tick()
+                _key, ev = heapq.heappop(self.queue)
+                self.resolve(ev)
+        except NoBackup:
             return "no_backup"
-        while self.queue:
-            self._tick()
-            _key, ev = heapq.heappop(self.queue)
-            if self.resolve(ev) == "no_backup":
-                return "no_backup"
         return "solved"
 
     def build_solution(self) -> Solution:
+        """Each agent's paths, and its rules slot by slot in ``(path,
+        index)`` order, in firing order within a slot."""
         plans = tuple(
-            Plan(tuple(self.paths[a]), tuple(self.rules[a])) for a in self.inst.agents()
+            Plan(tuple(self.paths[a]),
+                 tuple(r for slot in sorted(self.slots[a]) for r in self.slots[a][slot]))
+            for a in self.inst.agents()
         )
         return Solution(self.cfg.model, self.cfg.fd, plans)
 
@@ -686,7 +685,7 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     """Plan crash-tolerant paths for every agent.
 
     Tries the identity priority order (or the pinned one), then up to
-    ``config.restarts`` seeded reshuffles on failure. Forced initial paths
+    ``RESTARTS`` seeded reshuffles on failure. Forced initial paths
     or a pinned priority imply a single attempt, since a retry would repeat
     it verbatim.
 
@@ -714,7 +713,7 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     rng = random.Random(cfg.seed)
     n = inst.n_agents
     pinned = cfg.priority is not None or cfg.initial_paths is not None
-    attempts_allowed = 1 if pinned else 1 + max(0, cfg.restarts)
+    attempts_allowed = 1 if pinned else 1 + RESTARTS
     base_order = tuple(cfg.priority) if cfg.priority is not None else tuple(range(n))
     if cfg.priority is not None and sorted(base_order) != list(range(n)):
         raise ValueError("priority must be a permutation of the agent ids")
@@ -734,8 +733,7 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
                 if not planner.get_initial_plans(order):
                     last = SolveResult(status="init_paths", attempts=attempts)
                     continue
-                if cfg.refine:
-                    planner.refine_initial_paths(order)
+                planner.refine_initial_paths(order)
             initial = tuple(planner.paths[a][0] for a in inst.agents())
             if initial not in failed:
                 status = planner.run_events()

@@ -125,9 +125,18 @@ def _field(doc: dict, name: str, kinds, where: str):
     if name not in doc:
         raise ValueError(f"{where}: missing field {name!r}")
     val = doc[name]
-    if not isinstance(val, kinds):
+    if not isinstance(val, kinds) or (kinds is int and isinstance(val, bool)):
         raise ValueError(f"{where}: field {name!r} has wrong type")
     return val
+
+
+def _ints(val, name: str, where: str, size: "int | None" = None) -> tuple:
+    """``val`` as a tuple of ints (no bools), of length ``size`` if given."""
+    if (not isinstance(val, list) or not all(type(v) is int for v in val)
+            or size not in (None, len(val))):
+        want = "a list of ints" if size is None else f"a list of {size} ints"
+        raise ValueError(f"{where}: field {name!r} wants {want}, got {val!r}")
+    return tuple(val)
 
 
 def instance_to_doc(inst: Instance, map_ref: "str | None" = None) -> dict:
@@ -158,24 +167,23 @@ def doc_to_instance(doc: dict, base_dir=".") -> Instance:
         raise ValueError(f"{where}: missing kind='instance'")
     gdoc = _field(doc, "graph", dict, where)
     if "map" in gdoc:
-        map_path = Path(base_dir) / gdoc["map"]
+        map_path = Path(base_dir) / _field(gdoc, "map", str, where)
         if not map_path.exists():
             raise ValueError(f"{where}: referenced map {map_path} not found")
         graph = parse_map(map_path.read_text())
     else:
         n = _field(gdoc, "n", int, where)
-        edges = [tuple(e) for e in _field(gdoc, "edges", list, where)]
-        coords = gdoc.get("coords")
-        graph = Graph.build(
-            n,
-            edges,
-            directed=bool(gdoc.get("directed", False)),
-            coords=tuple(tuple(c) for c in coords) if coords else None,
-        )
+        edges = [_ints(e, "edges", where, 2) for e in _field(gdoc, "edges", list, where)]
+        coords = None
+        if gdoc.get("coords"):
+            coords = tuple(_ints(c, "coords", where, 2)
+                           for c in _field(gdoc, "coords", list, where))
+        directed = _field(gdoc, "directed", bool, where) if "directed" in gdoc else False
+        graph = Graph.build(n, edges, directed=directed, coords=coords)
     inst = Instance(
         graph=graph,
-        starts=tuple(_field(doc, "starts", list, where)),
-        goals=tuple(_field(doc, "goals", list, where)),
+        starts=_ints(_field(doc, "starts", list, where), "starts", where),
+        goals=_ints(_field(doc, "goals", list, where), "goals", where),
         f=_field(doc, "f", int, where),
         name=str(doc.get("name", "")),
     )
@@ -234,10 +242,13 @@ def doc_to_solution(doc: dict) -> Solution:
         pwhere = f"{where}, plan {i}"
         if not isinstance(pdoc, dict):
             raise ValueError(f"{pwhere}: not an object")
-        paths = tuple(tuple(p) for p in _field(pdoc, "paths", list, pwhere))
+        paths = tuple(_ints(p, "paths", pwhere) for p in _field(pdoc, "paths", list, pwhere))
         rules = []
-        for j, rdoc in enumerate(pdoc.get("rules", [])):
+        rdocs = _field(pdoc, "rules", list, pwhere) if "rules" in pdoc else []
+        for j, rdoc in enumerate(rdocs):
             rwhere = f"{pwhere}, rule {j}"
+            if not isinstance(rdoc, dict):
+                raise ValueError(f"{rwhere}: not an object")
             rules.append(
                 TransitionRule(
                     from_path=_field(rdoc, "from_path", int, rwhere),

@@ -284,13 +284,15 @@ def _verify_split(inst, sol, model, f, state_cap, explore) -> VerifyResult:
     agents is never compiled. ``explore(cp, ids, budget, cap)`` returns
     (states explored, counterexample or None), the counterexample in the
     instance's agent numbering, or raises ``_TooLarge(states explored)``.
-    Raises ``ValueError`` unless ``f`` is None or an int >= 0 and
-    ``state_cap`` is an int >= 0.
+    Raises ``ValueError`` for a solution of the other model, and unless
+    ``f`` is None or an int >= 0 and ``state_cap`` is an int >= 0.
     """
     if f is not None and not _is_count(f):
         raise ValueError(f"crash budget f must be None or an int >= 0, got {f!r}")
     if not _is_count(state_cap):
         raise ValueError(f"state_cap must be an int >= 0, got {state_cap!r}")
+    if sol.model != model:
+        raise ValueError(f"verify_{model} checks {model} solutions, not {sol.model!r} ones")
     check_executable(inst, sol)
     budget = inst.f if f is None else f
     groups = interaction_components(sol)

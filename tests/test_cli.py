@@ -109,8 +109,7 @@ class TestSolveVerifyFlow:
         assert "--priority" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("flag, value", [("--seed", "0"), ("--seed", "7"),
-                                             ("--refine", "on"), ("--refine", "off")])
+    @pytest.mark.parametrize("flag, value", [("--seed", "0"), ("--seed", "7")])
     def test_dcrf_flag_with_disjoint_is_an_error(self, tmp_path, capsys, flag, value):
         inst = gen_fixture(tmp_path, "fig8")
         capsys.readouterr()
@@ -121,20 +120,20 @@ class TestSolveVerifyFlow:
         assert captured.out == ""
         assert not list(tmp_path.glob("*.solution.json"))
 
-    def test_dcrf_flags_default_to_seed_0_and_refine_on(self, tmp_path, monkeypatch):
+    def test_dcrf_seed_defaults_to_0(self, tmp_path, monkeypatch):
         inst = gen_fixture(tmp_path, "fig6")
         seen = []
         real = dcrf.solve
 
         def spy(inst, cfg):
-            seen.append((cfg.seed, cfg.refine))
+            seen.append(cfg.seed)
             return real(inst, cfg)
 
         monkeypatch.setattr(dcrf, "solve", spy)
         assert run_cli("solve", "--instance", str(inst)) == 0
-        assert run_cli("solve", "--instance", str(inst), "--seed", "5", "--refine", "off") == 0
+        assert run_cli("solve", "--instance", str(inst), "--seed", "5") == 0
         assert run_cli("solve", "--instance", str(inst), "--algo", "disjoint") == 2  # infeasible
-        assert seen == [(0, True), (5, False)]
+        assert seen == [0, 5]
 
     def test_verify_reference_seq_solution(self, tmp_path):
         inst = gen_fixture(tmp_path, "fig1")
@@ -186,6 +185,40 @@ class TestSolveVerifyFlow:
                 "solve", "--instance", str(inst), "--seed", "5", "--out", str(out)
             ) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("doc, damage, named", [
+        ("instance", lambda d: d.update(starts=["x", 3]), "field 'starts'"),
+        ("instance", lambda d: d.update(goals=[True, 4]), "field 'goals'"),
+        ("instance", lambda d: d["graph"]["edges"].__setitem__(0, [0, "1"]), "field 'edges'"),
+        ("instance", lambda d: d["graph"]["edges"].__setitem__(0, [0, 1, 2]), "field 'edges'"),
+        ("instance", lambda d: d["graph"].update(coords=[[0, 0.5]] * 5), "field 'coords'"),
+        ("instance", lambda d: d["graph"].update(directed="no"), "field 'directed'"),
+        ("instance", lambda d: d.update(graph={"map": 5}), "field 'map'"),
+        ("solution", lambda d: d["plans"][1]["paths"].__setitem__(0, [0, "1", 2]),
+         "plan 1: field 'paths'"),
+        ("solution", lambda d: d["plans"][1].update(rules=5), "plan 1: field 'rules'"),
+        ("solution", lambda d: d["plans"][1]["rules"].__setitem__(0, 5), "rule 0: not an object"),
+        ("solution", lambda d: d["plans"][1]["rules"][0].update(watch=True),
+         "rule 0: field 'watch' has wrong type"),
+    ], ids=["start-str", "goal-bool", "edge-str", "edge-triple", "coord-float", "directed-str",
+            "map-int", "path-str", "rules-int", "rule-int", "watch-bool"])
+    def test_malformed_document_is_an_error(self, tmp_path, capsys, doc, damage, named):
+        # a wrongly typed vertex id or entry is a data error (exit 1), not a traceback
+        inst = gen_fixture(tmp_path, "fig1")
+        ref = tmp_path / "fig1.instance.ref-syn-afd.json"
+        bad = tmp_path / "bad.json"
+        content = fileio.read_doc(inst if doc == "instance" else ref)
+        damage(content)
+        fileio.write_doc(bad, content)
+        runs = [("verify", "--instance", str(inst), "--solution", str(bad))]
+        if doc == "instance":
+            runs = [("solve", "--instance", str(bad)),
+                    ("verify", "--instance", str(bad), "--solution", str(ref))]
+        capsys.readouterr()
+        for argv in runs:
+            assert run_cli(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {doc} document") and named in err, err
 
 
 class TestSimulate:
@@ -390,6 +423,26 @@ class TestBench:
         out = tmp_path / "results.csv"
         assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith("error: bench config: timeout must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("algos", ["bogus"], "algos must be a list drawn from ['dcrf', 'disjoint']"),
+        ("models", ["syn", "async"], "models must be a list drawn from"),
+        ("fds", "nfd", "fds must be a list drawn from"),
+        ("n", 2, "n must be a list of ints, got 2"),
+        ("f", [1.0], "f must be a list of ints"),
+        ("seeds", [0, True], "seeds must be a list of ints"),
+        ("map", 5, "map and scen must be paths"),
+        ("scen", ["a.scen"], "map and scen must be paths"),
+    ])
+    def test_bad_grid_axis_is_an_error(self, tmp_path, capsys, key, value, named):
+        # checked before any row runs: _run_algo sends every algo but dcrf to disjoint
+        (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, **{key: value})))
+        out = tmp_path / "results.csv"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: bench config: {named}")
         assert not out.exists()
 
     def test_unknown_config_key_is_an_error(self, tmp_path):

@@ -177,9 +177,9 @@ class TestTwoCorridor:
         # the corridor graph has no vertex-disjoint pair, so the seq
         # planner gives up on initial paths no matter the order
         fx = fixture("fig1")
-        res = solve(fx.instance, SolverConfig(model=SEQ, fd=NFD, restarts=5, seed=0))
+        res = solve(fx.instance, SolverConfig(model=SEQ, fd=NFD, seed=0))
         assert res.status == "init_paths"
-        assert res.attempts == 6
+        assert res.attempts == 1 + dcrf.RESTARTS == 11
         assert res.solution is None and not res.ok
 
 
@@ -208,12 +208,6 @@ class TestThreeAgentExample:
             (2, 2, 2, 0, 1, 2, 3, 3),
         ]
         assert res.solution == fx.solutions[0]
-
-    def test_refine_off_still_solves(self):
-        fx = fixture("fig6")
-        res = solve(fx.instance, SolverConfig(model=SYN, fd=NFD, refine=False))
-        assert res.status == "solved"
-        assert verify_syn(fx.instance, res.solution, f=1).ok
 
 
 class TestIncompletenessFixture:
@@ -260,7 +254,7 @@ class TestAnonymousMerging:
         assert len(res.events) == 9  # 13 when every event is resolved
         planner = Planner(inst, cfg)
         planner.set_initial_paths(res.initial_paths)
-        assert planner._gen_events_for([(a, 0) for a in inst.agents()])
+        planner._gen_events_for([(a, 0) for a in inst.agents()])  # no doomed event
         merged = Event(Crash(0, 23, 3), Effect(1, 0, 23, 4, 4), merged=(Crash(2, 23, 1),))
         assert merged in [ev for _key, ev in planner.queue]
         assert merged in res.events
@@ -285,8 +279,8 @@ class TestDoomedEventExit:
                 exits.append(ev)
                 a = ev.effect.agent
                 _redirect, slot_path, slot_idx = self._slot(ev)
-                assert not any(k[:4] == (a, slot_path, slot_idx, ev.crash.vertex)
-                               for k in self.rule_target)
+                assert not any(r.watch == ev.crash.vertex
+                               for r in self.slots[a].get((slot_path, slot_idx), ()))
                 alts = self._probe_alts(a, slot_path, ev.candidates())
                 assert self.find_backup_path(ev, slot_path, alts) is None
             return out
@@ -328,6 +322,28 @@ class TestTwoCrashCollision:
             ce = vr.counterexample
             assert run_syn(inst, res.solution, ce.crash_times).outcome == ce.kind
         assert vr.ok, vr.counterexample
+
+    @pytest.mark.xfail(reason="the blocking two-crash defect of ROADMAP.md: 7 solved plans"
+                              " collide, nfd n6-s3 and n8-s5, afd n6-s3, n6-s7, n8-s2, n8-s6"
+                              " and n8-s10")
+    def test_solved_plans_verify_at_two_crashes(self, data_dir):
+        # 60 of the 72 solves succeed when this was written, and verifying
+        # them explores about 196k states
+        g = parse_map((data_dir / "random-16-16-10.map").read_text())
+        solved, refuted = 0, []
+        for fd, n, seed in itertools.product((NFD, AFD), (4, 6, 8), range(12)):
+            inst = gen_well_formed(g, n, 2, seed)
+            res = solve(inst, SolverConfig(model=SYN, fd=fd, seed=seed, deadline=None))
+            if not res.ok:
+                continue
+            solved += 1
+            vr = verify(inst, res.solution)
+            if not vr.ok:
+                ce = vr.counterexample
+                assert run_syn(inst, res.solution, ce.crash_times).outcome == ce.kind
+                refuted.append(f"{fd} n{n}-s{seed}")
+        assert solved >= 50
+        assert refuted == []
 
 
 class TestFailureModes:
@@ -428,9 +444,10 @@ class TestSearchMemo:
 
     def test_syn_outputs_are_pinned(self, data_dir):
         # ``kept`` leaves out the events of failed solves, the one output
-        # the doomed-event exit shortens. Its digest is that of the rows
-        # pinned before the exit, f5642638, which were computed with a
-        # search per call, before the memo existed
+        # the doomed-event exit shortens. Both digests were last re-pinned
+        # when plans began to list their rules slot by slot: every row kept
+        # its status, events, paths and the rule sequence at each slot, and
+        # only the order of rules at different slots changed
         rows, kept = [], []
         for key, inst, fd in pinned_grid(data_dir):
             r = solve(inst, SolverConfig(model=SYN, fd=fd, deadline=None))
@@ -439,9 +456,9 @@ class TestSearchMemo:
                          r.initial_paths, r.attempts))
         assert len(rows) == 224
         digest = hashlib.sha256(repr(kept).encode()).hexdigest()
-        assert digest == "f326d3cc3c45a0b4002a932bfaa1f1b734b7a9c6b2cde88387adeab9ad1f1693"
+        assert digest == "5da45fbfd765cd446657c0cdbb3d981ef817253982dd9b33e04e3bb9c4194189"
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "eb6901f86ab885f67aff95c14ae358c029a377818c33f03c7f8cd731ab7c9dae"
+        assert digest == "8dc558798dd794bd8bc1d5a15ac74d1f8ad800d0cda0c85e69ad55a5e1ba69a9"
 
     def test_restarts_reuse_searches(self, data_dir, monkeypatch):
         calls = []
@@ -520,12 +537,13 @@ class TestBackupAlternatives:
 
         def recording_extend(self, a, target, cands):
             before = len(self.parent[a][target][2])
-            out = extend(self, a, target, cands)
-            if len(self.parent[a][target][2]) > before:
-                children = [q for q, edge in enumerate(self.parent[a])
-                            if edge is not None and edge[0] == target]
-                widened.append(children)
-            return out
+            try:
+                extend(self, a, target, cands)
+            finally:
+                if len(self.parent[a][target][2]) > before:
+                    children = [q for q, edge in enumerate(self.parent[a])
+                                if edge is not None and edge[0] == target]
+                    widened.append(children)
 
         def recording_run_events(self):
             planners.append(self)

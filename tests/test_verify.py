@@ -339,6 +339,17 @@ class TestGuards:
         assert verify(fx.instance, fx.solutions[0], f=1).ok
         assert verify(fx.instance, fx.solutions[1], f=1).ok
 
+    def test_each_checker_refuses_the_other_model(self):
+        # fig1's seq plan would pass verify_syn and its syn plan fail
+        # verify_seq, each judged by the rules of the wrong model
+        fx = fixture("fig1")
+        syn_sol, seq_sol = fx.solutions
+        assert (syn_sol.model, seq_sol.model) == (SYN, SEQ)
+        with pytest.raises(ValueError, match="verify_syn checks syn solutions, not 'seq' ones"):
+            verify_syn(fx.instance, seq_sol)
+        with pytest.raises(ValueError, match="verify_seq checks seq solutions, not 'syn' ones"):
+            verify_seq(fx.instance, syn_sol)
+
     def test_default_f_from_instance(self):
         fx = fixture("fig1")
         assert verify(fx.instance, fx.solutions[0]).f == 1
