@@ -43,7 +43,13 @@ ALGOS = ("dcrf", "disjoint")
 
 def _read_priority(path) -> tuple:
     toks = Path(path).read_text().replace(",", " ").split()
-    return tuple(int(t) for t in toks)
+    ids = []
+    for t in toks:
+        try:
+            ids.append(int(t))
+        except ValueError:
+            raise ValueError(f"--priority {path}: agent ids must be integers, got {t!r}") from None
+    return tuple(ids)
 
 
 def _run_algo(inst: Instance, algo: str, cfg: SolverConfig):
@@ -232,6 +238,9 @@ def _bench_tasks(config: dict, base: Path) -> list[dict]:
             want = "a list of ints" if allowed is None else f"a list drawn from {list(allowed)}"
             raise ValueError(f"bench config: {key} must be {want}, got {vals!r}")
         axes[key] = vals
+    for key, low in (("n", 1), ("f", 0)):
+        if any(v < low for v in axes[key]):
+            raise ValueError(f"bench config: {key} values must be >= {low}, got {axes[key]!r}")
     map_rel = config["map"]
     scen = config.get("scen")
     if not isinstance(map_rel, str) or not isinstance(scen, (str, type(None))):

@@ -29,11 +29,13 @@ Paths are reserved and compared through their timing tables
 (:class:`~mappcf.pathfind.Timing`), built once per path and entry time
 and solve.
 
-Every synchronous search (initial plans, refinement, backups) is memoized
-per solve (``Planner._search``). A restart reruns most of the previous
-attempt's searches, and a search depends only on its agent, start, start
-time, blocked set and the *set* of timed paths it avoids (reservations do
-not depend on the order or repetition of their paths), so a hit is exact.
+Every search is memoized per solve, so a restart does not rerun the
+searches of earlier attempts. A synchronous search (initial plans,
+refinement, backups; ``Planner._search``) depends only on its agent,
+start, start time, blocked set and the *set* of timed paths it avoids
+(reservations do not depend on the order or repetition of their paths),
+and a sequential one (``Planner._search_seq``) only on its agent and
+forbidden vertex mask, so a hit is exact.
 A restart that arrives at the primaries of an earlier failed attempt
 reuses that attempt's outcome instead of running the event stage again,
 as the event stage depends on the primaries alone.
@@ -181,14 +183,18 @@ class SolveResult:
 
 
 class SearchMemo:
-    """``find_path_syn`` results of one solve, keyed by their exact input.
+    """Search results of one solve, keyed by their exact input.
 
-    A key is ``(agent, start, start time, blocked, penalize, mask)``. The
-    agent fixes the goal; the graph and ``f`` are the instance's. ``mask``
-    has one bit per ``(path, entry)`` pair the reservations are built
-    from, and ``bits`` numbers each distinct pair on first sight. With
-    ``penalize`` the penalty set is the vertices of those paths, so it
-    needs no place of its own in the key.
+    In ``found``, a ``find_path_syn`` key is ``(agent, start, start time,
+    blocked, penalize, mask)``. The agent fixes the goal; the graph and
+    ``f`` are the instance's. ``mask`` has one bit per ``(path, entry)``
+    pair the reservations are built from, and ``bits`` numbers each
+    distinct pair on first sight. With ``penalize`` the penalty set is the
+    vertices of those paths, so it needs no place of its own in the key.
+    A ``find_path_seq`` key is ``(agent, forbidden mask)``: the agent
+    fixes the start as well, and a seq search takes no start time, blocked
+    set or penalty. One solve uses one model, so the two kinds of key never
+    meet. ``None`` results are kept too.
 
     ``to_goal`` keeps each goal's ``goal_distances`` table, the bound every
     search toward that goal prunes with, and ``cut`` the answer to each
@@ -272,6 +278,16 @@ class Planner:
                              reservations=res, penalty=penalty, to_goal=to_goal)
         found[key] = path
         return path
+
+    def _search_seq(self, a: int, forbidden: int):
+        """``find_path_seq`` for agent a avoiding the vertex mask
+        ``forbidden``, looked up in ``self.memo`` first."""
+        key = (a, forbidden)
+        found = self.memo.found
+        if key not in found:
+            inst = self.inst
+            found[key] = find_path_seq(inst.graph, inst.starts[a], inst.goals[a], forbidden)
+        return found[key]
 
     def _timing(self, path: Path, entry: int) -> Timing:
         timing = self.memo.timing.get((path, entry))
@@ -399,8 +415,7 @@ class Planner:
             used = 0
             for a in order:
                 self._tick()
-                forbidden = (goals & ~(1 << inst.goals[a])) | used
-                found = find_path_seq(inst.graph, inst.starts[a], inst.goals[a], forbidden)
+                found = self._search_seq(a, (goals & ~(1 << inst.goals[a])) | used)
                 if found is None:
                     return False
                 got[a], path_mask, _ = found
@@ -690,8 +705,9 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     it verbatim.
 
     The attempts share one :class:`SearchMemo`, so a search that a restart
-    repeats with the same input runs once; the result is unchanged, as a
-    search is a function of that input.
+    repeats with the same input runs once, in either model; the result is
+    unchanged, as a search is a function of that input. The memo lives
+    only as long as the solve: two solves share nothing.
 
     A restart whose refined primaries equal those of an earlier failed
     attempt skips the event stage and fails as that attempt did, with its

@@ -85,10 +85,15 @@ def gen_well_formed(
 ) -> Instance:
     """Sample distinct starts/goals until the necessary condition holds.
 
-    Deterministic for a fixed seed. Raises GiveUp when max_tries samples
-    all fail, including the degenerate case where the graph has fewer
-    than 2 * n_agents vertices.
+    Deterministic for a fixed seed. Raises ValueError for fewer than one
+    agent or a negative crash budget, and GiveUp when max_tries samples
+    all fail, including the degenerate cases where no sample can be valid:
+    f above n_agents, or a graph with fewer than 2 * n_agents vertices.
     """
+    if n_agents < 1 or f < 0:
+        raise ValueError(f"need at least 1 agent and f >= 0, got n={n_agents}, f={f}")
+    if f > n_agents:
+        raise GiveUp(f"crash budget f={f} exceeds the {n_agents} agents")
     if 2 * n_agents > graph.n:
         raise GiveUp(
             f"{n_agents} agents need {2 * n_agents} distinct vertices, "

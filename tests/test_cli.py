@@ -96,6 +96,16 @@ class TestSolveVerifyFlow:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: deadline must be None or a number >= 0")
 
+    def test_non_integer_priority_names_file_and_flag(self, tmp_path, capsys):
+        inst = gen_fixture(tmp_path, "fig8")
+        prio = tmp_path / "bad.priority.txt"
+        prio.write_text("0 x\n")
+        capsys.readouterr()
+        code = run_cli("solve", "--instance", str(inst), "--priority", str(prio))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --priority {prio}: agent ids must be integers, got 'x'\n"
+
     def test_priority_with_disjoint_is_an_error(self, tmp_path, capsys):
         inst = gen_fixture(tmp_path, "fig8")
         prio = tmp_path / "fig8.instance.priority.txt"
@@ -368,6 +378,19 @@ class TestGenRandomAndSat:
         inst = fileio.read_instance(out)
         assert inst.starts == (0, 1) and inst.goals == (g.n - 1, g.n - 2)
 
+    @pytest.mark.parametrize("n, f", [("0", "1"), ("-1", "1"), ("2", "-1")])
+    def test_out_of_range_n_or_f_is_an_error(self, tmp_path, capsys, n, f):
+        (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))
+        out = tmp_path / "inst.json"
+        code = run_cli(
+            "gen", "random", "--map", str(tmp_path / "m8.map"),
+            "--n", n, "--f", f, "--seed", "0", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: need at least 1 agent and f >= 0, got n={n}, f={f}\n")
+        assert not out.exists()
+
     def test_sat_from_dimacs(self, tmp_path):
         (tmp_path / "phi.cnf").write_text("c demo\np cnf 3 2\n1 2 -3 0\n-1 2 3 0\n")
         out = tmp_path / "sat.json"
@@ -432,6 +455,8 @@ class TestBench:
         ("n", 2, "n must be a list of ints, got 2"),
         ("f", [1.0], "f must be a list of ints"),
         ("seeds", [0, True], "seeds must be a list of ints"),
+        ("n", [2, 0], "n values must be >= 1, got [2, 0]"),
+        ("f", [-1], "f values must be >= 0, got [-1]"),
         ("map", 5, "map and scen must be paths"),
         ("scen", ["a.scen"], "map and scen must be paths"),
     ])

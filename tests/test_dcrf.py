@@ -407,8 +407,9 @@ def pinned_grid(data_dir):
 
 
 class TestSearchMemo:
-    """Every attempt of one syn solve shares a memo of its space-time
-    searches; the outputs must stay those of unmemoized searching."""
+    """Every attempt of one solve shares a memo of its searches: the
+    space-time searches under syn, the vertex-disjoint ones under seq. The
+    outputs must stay those of unmemoized searching."""
 
     def test_hits_equal_fresh_searches(self):
         # queries drawn from small pools, so inputs that differ in one part
@@ -475,6 +476,31 @@ class TestSearchMemo:
         assert (r.status, r.attempts) == ("no_backup", 11)
         # 188 when every event is resolved, 810 with one search per call
         assert len(calls) == 142
+
+    def test_seq_outputs_are_pinned(self, data_dir):
+        # pinned before seq searches were memoized
+        rows = []
+        for key, inst, fd in pinned_grid(data_dir):
+            r = solve(inst, SolverConfig(model=SEQ, fd=fd, deadline=None))
+            rows.append((*key, fd, r.status, r.solution, r.initial_paths, r.attempts))
+        assert len(rows) == 224
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "321235daff5876ef6002d7353ff248482b0823ed34229b0196e0c63969d7179a"
+
+    def test_seq_restarts_reuse_searches(self, monkeypatch):
+        calls = []
+        search = dcrf.find_path_seq
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(dcrf, "find_path_seq", counting)
+        inst = gen_well_formed(parse_map(random_grid_map(8, 8, seed=0)), 3, 2, 2)
+        r = solve(inst, SolverConfig(model=SEQ, deadline=None))
+        assert (r.status, r.attempts) == ("init_paths", 11)
+        # one search per distinct (agent, forbidden) key; 30 with one per call
+        assert len(calls) == len(set(calls)) == 10
 
 
 class TestRepeatedPrimaries:

@@ -77,10 +77,22 @@ class TestWellFormed:
         b = gen_well_formed(g, 3, 1, seed=7)
         assert (a.starts, a.goals) == (b.starts, b.goals)
 
+    @pytest.mark.parametrize("n, f", [(0, 1), (-1, 1), (2, -1)])
+    def test_out_of_range_n_or_f_is_refused(self, n, f):
+        # max_tries=0 gives up before the first draw: the check comes first
+        g = grid_graph(5, 5)
+        with pytest.raises(ValueError, match="need at least 1 agent and f >= 0"):
+            gen_well_formed(g, n, f, seed=0, max_tries=0)
+
     def test_too_many_agents_gives_up(self):
         g = grid_graph(2, 2)
         with pytest.raises(GiveUp):
             gen_well_formed(g, 3, 1, seed=0)
+
+    def test_budget_above_agent_count_gives_up_at_once(self):
+        # max_tries=0 would give up with the generic message
+        with pytest.raises(GiveUp, match="crash budget f=3 exceeds the 2 agents"):
+            gen_well_formed(grid_graph(5, 5), 2, 3, seed=0, max_tries=0)
 
 
 class TestDimacs:
