@@ -14,16 +14,16 @@ the event queue, the backups and the transition rules below belong to this
 model only. The queue holds unresolved events: a hypothetical crash of one
 agent at a vertex that would block another agent's path further along.
 Resolving an event plans a backup path branching one step before the
-blocked vertex, avoiding every vertex assumed crashed so far, and installs
-a transition rule that switches to the backup when the crash is actually
-observed. New paths spawn new events against every other path whose crash
-assumptions can coexist with theirs; resolution continues until the queue
-drains. A single unresolvable event fails the whole attempt, and a failed
-attempt stops at its first doomed event: one whose branch vertex the
-crash vertices its backup must avoid cut off from the goal. That is
-checked as the event is queued, with no space-time search, so the
-attempt fails before it resolves the events queued ahead of it. A failed
-solve's ``events`` end with the event that has no backup.
+blocked vertex, avoiding every crash vertex of its crash alternatives, and
+installs a transition rule that switches to the backup when the crash is
+actually observed. New paths spawn new events against every other path
+whose crash assumptions can coexist with theirs; resolution continues
+until the queue drains. A single unresolvable event fails the whole
+attempt, and a failed attempt stops at its first doomed event: one whose
+branch vertex the crash vertices its backup must avoid cut off from the
+goal. That is checked as the event is queued, with no space-time search,
+so the attempt fails before it resolves the events queued ahead of it. A
+failed solve's ``events`` end with the event that has no backup.
 
 Paths are reserved and compared through their timing tables
 (:class:`~mappcf.pathfind.Timing`), built once per path and entry time
@@ -41,10 +41,19 @@ reuses that attempt's outcome instead of running the event stage again,
 as the event stage depends on the primaries alone.
 
 Crash assumptions are tracked per path as alternatives (sets of crash
-sets): under the identity-revealing detector each backup usually assumes
-exactly one crash chain, while anonymous observations merge
-indistinguishable crashes (same vertex, same position, different agents)
-into one backup that must be safe under every candidate interpretation.
+sets, ``Planner.alts``), and every question about them reads the
+alternatives alone: which paths can run together, which vertices a backup
+avoids, and which older rules a redirected dodge steers clear of. A
+backup's alternatives are those of its slot's path, each extended by one
+crash candidate of its rule that does not contradict it. Under the
+identity-revealing detector each backup usually assumes exactly one crash
+chain, while anonymous observations merge indistinguishable crashes (same
+vertex, same position, different agents) into one backup that must be safe
+under every candidate interpretation. The candidates of one rule share its
+watch vertex, so the crash vertices of a path's alternatives are the watch
+vertices of the rules on its parent chain. The candidate lists kept on
+that chain (``Planner.parent``) only feed a widening
+(:meth:`Planner._extend_backup`).
 """
 
 from __future__ import annotations
@@ -342,18 +351,6 @@ class Planner:
             if self._compatible(alts, a, b, pb)
         ]
 
-    def _chain_blocked(self, a: int, p: int) -> set:
-        """Crash vertices assumed anywhere along a path's ancestor chain."""
-        out: set = set()
-        cur = p
-        while True:
-            edge = self.parent[a][cur]
-            if edge is None:
-                return out
-            pp, _idx, cands = edge
-            out.update(c.vertex for c in cands)
-            cur = pp
-
     # -- stage 1: initial paths -------------------------------------------
 
     def set_initial_paths(self, paths) -> None:
@@ -471,22 +468,24 @@ class Planner:
 
     def _doomed(self, ev: Event) -> bool:
         """True if the event's backup search can only fail: with the crash
-        vertices of its slot's chain and of its candidates taken out of the
-        graph, its branch vertex no longer reaches the goal.
+        vertices of its slot path's alternatives and the event's crash
+        vertex taken out of the graph, its branch vertex no longer reaches
+        the goal.
 
-        :meth:`resolve` would then end the attempt with ``no_backup``: no
-        rule under the event's key exists to widen instead, since every
-        backup at a slot starts at the slot's vertex, inherits the slot's
-        chain, and avoids the key's watch vertex, so the search that would
-        have made that rule faced the same cut. A solved attempt never
-        queues such an event. The test is one breadth-first search from the
-        goal, which stops once it reaches the branch vertex, per distinct
-        question and solve (``SearchMemo.cut``).
+        Those are the crash vertices of the alternatives the backup would
+        get, so :meth:`resolve` would then end the attempt with
+        ``no_backup``: no rule under the event's key exists to widen
+        instead, since every backup at a slot starts at the slot's vertex,
+        extends the slot path's alternatives, and avoids the key's watch
+        vertex, so the search that would have made that rule faced the same
+        cut. A solved attempt never queues such an event. The test is one
+        breadth-first search from the goal, which stops once it reaches the
+        branch vertex, per distinct question and solve (``SearchMemo.cut``).
         """
         a, p, c = ev.effect.agent, ev.effect.path, ev.effect.at_index
         _redirect, slot_path, _slot_idx = self._slot(ev)
-        blocked = frozenset(self._chain_blocked(a, slot_path)
-                            | {cr.vertex for cr in ev.candidates()})
+        blocked = frozenset({cr.vertex for alt in self.alts[a][slot_path] for cr in alt}
+                            | {ev.crash.vertex})
         key = (self.inst.goals[a], blocked, self.paths[a][p][c - 2])
         cut = self.memo.cut.get(key)
         if cut is None:
@@ -557,50 +556,32 @@ class Planner:
             return crashed(cands[0].agent)
         return CRASHED_ANON
 
-    def find_backup_path(self, ev: Event, base: int, alts,
-                         extra_blocked: frozenset = frozenset()):
+    def find_backup_path(self, ev: Event, alts, extra_blocked: frozenset = frozenset()):
         """Plan the detour for one event; returns the new path or None.
 
-        Branches at the vertex one step before the blocked one, avoids every
-        crash vertex assumed along the chain (plus the event's own), and
-        must be collision-free against every path of other agents whose
-        assumptions can coexist with the extended chain. ``base`` is the
-        path whose ancestry defines that chain: the blocked path, or its
-        parent when the dodge is parked at the parent slot and becomes a
-        sibling instead of a child. ``alts`` are the new path's crash
-        alternatives, ``_probe_alts(a, base, cands)``.
+        ``alts`` are the new path's crash alternatives,
+        ``_probe_alts(a, slot path, candidates)`` (see :meth:`_slot`). The
+        detour branches at the vertex one step before the blocked one,
+        avoids every crash vertex of ``alts`` (the event's own among them)
+        and ``extra_blocked``, and must be collision-free against every path
+        of other agents that ``alts`` can run with.
         """
         a = ev.effect.agent
         p = ev.effect.path
         c = ev.effect.at_index
-        cands = ev.candidates()
-        parent_path = self.paths[a][p]
-        branch_v = parent_path[c - 2]
-        blocked = self._chain_blocked(a, base) | {cr.vertex for cr in cands}
-        blocked |= extra_blocked
+        branch_v = self.paths[a][p][c - 2]
+        blocked = frozenset(cr.vertex for alt in alts for cr in alt) | extra_blocked
         t_branch = self.entry[a][p] + c - 2
         timed = [(self.paths[b][pb], self.entry[b][pb]) for b, pb in self._coexisting(a, alts)]
-        return self._search(a, branch_v, t_branch, frozenset(blocked), timed)
+        return self._search(a, branch_v, t_branch, blocked, timed)
 
     # -- stage 4: resolution loop -----------------------------------------
-
-    def _slot_blocked(self, a: int, slot, cands) -> set:
-        """Crash vertices of dodges already parked at a slot that could be
-        active together with this event's crashes. First-match sends every
-        joint scenario through the newest rule, so a newer dodge has to
-        steer clear of the older dodges' vertices."""
-        mine = frozenset(cands)
-        out = set()
-        for r in self.slots[a].get(slot, ()):
-            theirs = frozenset(self.parent[a][r.to_path][2])
-            if _coexists(mine, theirs, self.inst.f):
-                out.add(r.watch)
-        return out
 
     def _slot(self, ev: Event):
         """``(redirect, slot path, slot index)``: where the event's rule is
         parked, at the end of the slot's rules, or at their head when
-        redirected.
+        redirected. The slot path's alternatives, each extended by one of
+        the event's candidates, are the alternatives of the rule's backup.
 
         In syn a switch consumes the whole round: the agent lands on the
         new path at index 1 and moves immediately, so a rule parked there
@@ -617,7 +598,13 @@ class Planner:
 
     def resolve(self, ev: Event) -> None:
         """Resolve one event; raises :class:`NoBackup` when it, or an event
-        its backup spawns, has no backup."""
+        its backup spawns, has no backup.
+
+        A rule at the event's slot with its watch vertex and trigger is
+        widened by the event's candidates. Otherwise a new backup is planned
+        under the slot path's alternatives extended by those candidates,
+        and a redirected one also avoids the watch vertices of the older
+        rules at its slot whose backups can run with it."""
         a = ev.effect.agent
         p = ev.effect.path
         c = ev.effect.at_index
@@ -625,16 +612,20 @@ class Planner:
         trigger = self._trigger_for(cands)
         watch = ev.crash.vertex
         redirect, slot_path, slot_idx = self._slot(ev)
-        slot = (slot_path, slot_idx)
-        here = self.slots[a].setdefault(slot, [])
+        here = self.slots[a].setdefault((slot_path, slot_idx), [])
         self.resolved.append(ev)
         for r in here:
             if r.watch == watch and r.trigger == trigger:
                 self._extend_backup(a, r.to_path, cands)
                 return
         alts = self._probe_alts(a, slot_path, cands)
-        extra = frozenset(self._slot_blocked(a, slot, cands)) if redirect else frozenset()
-        new_path = self.find_backup_path(ev, slot_path, alts, extra)
+        # a redirected rule goes ahead of the slot's older rules, and first
+        # match sends every scenario in which its crash and an older rule's
+        # crash both hold through it, so its dodge steers clear of the watch
+        # vertex of each older rule whose backup can run with it
+        extra = frozenset(r.watch for r in here
+                          if redirect and self._compatible(alts, a, a, r.to_path))
+        new_path = self.find_backup_path(ev, alts, extra)
         if new_path is None:
             raise NoBackup
         np = len(self.paths[a])

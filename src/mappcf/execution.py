@@ -53,6 +53,7 @@ CORRECT_ST = "correct"
 CRASHED_ST = "crashed"
 DONE_ST = "done"
 _STATUSES = (CORRECT_ST, CRASHED_ST, DONE_ST)  # by status number
+_LETTERS = {CORRECT_ST: "c", CRASHED_ST: "x", DONE_ST: "d"}  # of Trace.config
 
 VACANT_OBS = 0
 CORRECT_OBS = 1
@@ -255,7 +256,9 @@ class Trace:
         )
 
     def config(self, cp: Compiled, cfg) -> None:
-        parts = [f"{a}:{cp.vertex[c]}/{cp.status[c][0]}" for a, c in enumerate(cfg)]
+        """Record every agent as ``agent:vertex/letter``, the letter ``c``
+        for correct, ``x`` for crashed and ``d`` for done."""
+        parts = [f"{a}:{cp.vertex[c]}/{_LETTERS[cp.status[c]]}" for a, c in enumerate(cfg)]
         self.lines.append(f"[{self._t}] at " + " ".join(parts))
 
     def text(self) -> str:

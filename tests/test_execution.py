@@ -110,6 +110,13 @@ class TestRunSyn:
         switches = [ln for ln in r.trace.lines if " switch " in ln]
         assert switches == ["[t=2] switch agent=1 path=0@2 watch=1 saw=crashed to=2"]
 
+    def test_trace_configs_tell_crashed_from_correct(self, fig1):
+        inst, syn, _ = fig1
+        r = run_syn(inst, syn, {0: 2})
+        configs = [ln for ln in r.trace.lines if "] at " in ln]
+        assert configs == ["[t=0] at 0:0/c 1:3/c", "[t=1] at 0:1/c 1:3/c",
+                           "[t=2] at 0:1/x 1:0/c", "[t=3] at 0:1/x 1:4/d"]
+
 
 class TestRunSeq:
     def test_vacant_branch(self, fig1):
