@@ -146,8 +146,13 @@ def _parse_schedule(path) -> list:
             continue
         parts = ln.split()
         if len(parts) != 2 or parts[0] not in ("activate", "crash"):
-            raise ValueError(f"schedule line must be 'activate A' or 'crash A': {ln!r}")
-        sched.append((parts[0], int(parts[1])))
+            raise ValueError(f"--schedule {path}: line must be 'activate A' or 'crash A': {ln!r}")
+        try:
+            agent = int(parts[1])
+        except ValueError:
+            raise ValueError(
+                f"--schedule {path}: agent ids must be integers, got {parts[1]!r}") from None
+        sched.append((parts[0], agent))
     return sched
 
 
@@ -197,7 +202,10 @@ def _cmd_gen(args) -> int:
         fileio.write_instance(out, inst)
         written.append(out)
     else:
-        clauses = gen.parse_dimacs(Path(args.dimacs).read_text())
+        try:
+            clauses = gen.parse_dimacs(Path(args.dimacs).read_text())
+        except ValueError as exc:
+            raise ValueError(f"--dimacs {args.dimacs}: {exc}") from None
         inst = gen.sat_to_mappcf(clauses)
         inst = replace(inst, name=f"sat-{Path(args.dimacs).stem}")
         out = Path(args.out) if args.out else Path(f"{inst.name}.instance.json")

@@ -34,8 +34,8 @@ searches of earlier attempts. A synchronous search (initial plans,
 refinement, backups; ``Planner._search``) depends only on its agent,
 start, start time, blocked set and the *set* of timed paths it avoids
 (reservations do not depend on the order or repetition of their paths),
-and a sequential one (``Planner._search_seq``) only on its agent and
-forbidden vertex mask, so a hit is exact.
+and a sequential one (in ``Planner.get_initial_plans``) only on its agent
+and forbidden vertex mask, so a hit is exact.
 A restart that arrives at the primaries of an earlier failed attempt
 reuses that attempt's outcome instead of running the event stage again,
 as the event stage depends on the primaries alone.
@@ -51,9 +51,9 @@ chain, while anonymous observations merge indistinguishable crashes (same
 vertex, same position, different agents) into one backup that must be safe
 under every candidate interpretation. The candidates of one rule share its
 watch vertex, so the crash vertices of a path's alternatives are the watch
-vertices of the rules on its parent chain. The candidate lists kept on
-that chain (``Planner.parent``) only feed a widening
-(:meth:`Planner._extend_backup`).
+vertices of the rules on its parent chain (``Planner.parent`` keeps each
+backup's slot). A widening (:meth:`Planner._extend_backup`) adds to a
+backup's alternatives those that its new candidates give the slot path's.
 """
 
 from __future__ import annotations
@@ -195,11 +195,11 @@ class SearchMemo:
     """Search results of one solve, keyed by their exact input.
 
     In ``found``, a ``find_path_syn`` key is ``(agent, start, start time,
-    blocked, penalize, mask)``. The agent fixes the goal; the graph and
-    ``f`` are the instance's. ``mask`` has one bit per ``(path, entry)``
-    pair the reservations are built from, and ``bits`` numbers each
-    distinct pair on first sight. With ``penalize`` the penalty set is the
-    vertices of those paths, so it needs no place of its own in the key.
+    blocked, penalize, timed)``. The agent fixes the goal; the graph and
+    ``f`` are the instance's. ``timed`` is the frozenset of ``(path,
+    entry)`` pairs the reservations are built from. With ``penalize`` the
+    penalty set is the vertices of those paths, so it needs no place of its
+    own in the key.
     A ``find_path_seq`` key is ``(agent, forbidden mask)``: the agent
     fixes the start as well, and a seq search takes no start time, blocked
     set or penalty. One solve uses one model, so the two kinds of key never
@@ -214,7 +214,6 @@ class SearchMemo:
     """
 
     def __init__(self):
-        self.bits: dict = {}
         self.found: dict = {}
         self.to_goal: dict[int, list[int]] = {}
         self.cut: dict = {}
@@ -240,7 +239,7 @@ class Planner:
         n = inst.n_agents
         self.paths: list[list[Path]] = [[] for _ in range(n)]
         self.entry: list[list[int]] = [[] for _ in range(n)]
-        # per path: None for primaries, else (parent path, at_index, [crash candidates])
+        # per path: None for primaries, else the slot (path, index) of its rule
         self.parent: list[list] = [[] for _ in range(n)]
         # per path: its crash alternatives, the crash sets it may run under
         self.alts: list[list[tuple[frozenset, ...]]] = [[] for _ in range(n)]
@@ -268,11 +267,7 @@ class Planner:
         ``penalize``, preferring to stay off the vertices of those paths.
 
         Looked up in ``self.memo`` first (see :class:`SearchMemo`)."""
-        bits = self.memo.bits
-        mask = 0
-        for pe in timed:
-            mask |= 1 << bits.setdefault(pe, len(bits))
-        key = (a, start, t0, blocked, penalize, mask)
+        key = (a, start, t0, blocked, penalize, frozenset(timed))
         found = self.memo.found
         if key in found:
             return found[key]
@@ -287,16 +282,6 @@ class Planner:
                              reservations=res, penalty=penalty, to_goal=to_goal)
         found[key] = path
         return path
-
-    def _search_seq(self, a: int, forbidden: int):
-        """``find_path_seq`` for agent a avoiding the vertex mask
-        ``forbidden``, looked up in ``self.memo`` first."""
-        key = (a, forbidden)
-        found = self.memo.found
-        if key not in found:
-            inst = self.inst
-            found[key] = find_path_seq(inst.graph, inst.starts[a], inst.goals[a], forbidden)
-        return found[key]
 
     def _timing(self, path: Path, entry: int) -> Timing:
         timing = self.memo.timing.get((path, entry))
@@ -408,14 +393,18 @@ class Planner:
                 timed.append((p, 1))
                 got[a] = p
         else:
+            # memoized under (agent, forbidden mask), see SearchMemo
             goals = vertex_mask(inst.goals)
             used = 0
+            found = self.memo.found
             for a in order:
                 self._tick()
-                found = self._search_seq(a, (goals & ~(1 << inst.goals[a])) | used)
-                if found is None:
+                key = (a, (goals & ~(1 << inst.goals[a])) | used)
+                if key not in found:
+                    found[key] = find_path_seq(inst.graph, inst.starts[a], inst.goals[a], key[1])
+                if found[key] is None:
                     return False
-                got[a], path_mask, _ = found
+                got[a], path_mask, _ = found[key]
                 used |= path_mask
         self._install_primaries([got[a] for a in inst.agents()])
         return True
@@ -454,17 +443,6 @@ class Planner:
         return adopted
 
     # -- stage 2: events ---------------------------------------------------
-
-    def _push_event(self, ev: Event) -> None:
-        """Queue an event; a doomed one (see :meth:`_doomed`) is not
-        queued but ends ``resolved`` and raises :class:`NoBackup`."""
-        if self._doomed(ev):
-            self.resolved.append(ev)
-            raise NoBackup
-        eff = ev.effect
-        key = (eff.when, eff.agent, ev.crash.agent, self._seq)
-        heapq.heappush(self.queue, (key, ev))
-        self._seq += 1
 
     def _doomed(self, ev: Event) -> bool:
         """True if the event's backup search can only fail: with the crash
@@ -514,38 +492,35 @@ class Planner:
 
     def _gen_events_for(self, keys) -> None:
         """Queue events between each path (a, pa) in ``keys`` and every
-        compatible path (both directions), deduplicating crashes already
-        seen and merging indistinguishable candidates into a single event.
-        Raises :class:`NoBackup` at the first doomed one (see
-        :meth:`_push_event`).
+        compatible path (both directions), skipping crashes already seen.
 
-        All keys share one batch: under the anonymous detector only crashes
-        collected into the same batch merge."""
-        batch: dict = {}
+        All keys share one batch, and the crashes of a batch that block the
+        same step at the same vertex merge into one event: by crashed agent
+        under the identity-revealing detector, across agents under the
+        anonymous one. Events queue in merge-key order. A doomed one (see
+        :meth:`_doomed`) is not queued but ends ``resolved`` and raises
+        :class:`NoBackup`."""
+        nfd = self.cfg.fd == NFD
+        batch: dict = {}  # merge key -> (effect, crash candidates)
         for a, pa in keys:
             for b, pb in self._coexisting(a, self.alts[a][pa]):
                 pairs = self._pair_candidates(a, pa, b, pb) + self._pair_candidates(b, pb, a, pa)
                 for cr, eff in pairs:
-                    self._collect(batch, cr, eff)
-        self._flush(batch)
-
-    def _collect(self, batch: dict, cr: Crash, eff: Effect) -> None:
-        exact = (eff.agent, eff.path, cr.agent, cr.vertex, cr.when)
-        if exact in self._seen_crashes:
-            return
-        self._seen_crashes.add(exact)
-        if self.cfg.fd == NFD:
-            mkey = (eff.agent, eff.path, eff.at_index, cr.agent, cr.vertex)
-        else:
-            mkey = (eff.agent, eff.path, eff.at_index, cr.vertex)
-        batch.setdefault(mkey, []).append((cr, eff))
-
-    def _flush(self, batch: dict) -> None:
+                    exact = (eff.agent, eff.path, cr.agent, cr.vertex, cr.when)
+                    if exact not in self._seen_crashes:
+                        self._seen_crashes.add(exact)
+                        mkey = (eff.agent, eff.path, eff.at_index, cr.agent if nfd else None,
+                                cr.vertex)
+                        batch.setdefault(mkey, (eff, []))[1].append(cr)
         for mkey in sorted(batch):
-            entries = batch[mkey]
-            entries.sort(key=lambda ce: ce[0])
-            crashes = [ce[0] for ce in entries]
-            self._push_event(Event(crashes[0], entries[0][1], tuple(crashes[1:])))
+            eff, crashes = batch[mkey]
+            crashes.sort()
+            ev = Event(crashes[0], eff, tuple(crashes[1:]))
+            if self._doomed(ev):
+                self.resolved.append(ev)
+                raise NoBackup
+            heapq.heappush(self.queue, ((eff.when, eff.agent, ev.crash.agent, self._seq), ev))
+            self._seq += 1
 
     # -- stage 3: backup search -------------------------------------------
 
@@ -592,8 +567,7 @@ class Planner:
         """
         a, p, c = ev.effect.agent, ev.effect.path, ev.effect.at_index
         if c == 2 and p != 0:
-            pp, pc, _pcands = self.parent[a][p]
-            return True, pp, pc - 1
+            return (True, *self.parent[a][p])
         return False, p, c - 1
 
     def resolve(self, ev: Event) -> None:
@@ -630,7 +604,7 @@ class Planner:
             raise NoBackup
         np = len(self.paths[a])
         self.paths[a].append(new_path)
-        self.parent[a].append((slot_path, slot_idx + 1, list(cands)))
+        self.parent[a].append((slot_path, slot_idx))
         self.alts[a].append(alts)
         self.entry[a].append(self.entry[a][p] + c - 2)
         rule = TransitionRule(slot_path, slot_idx, watch, trigger, np)
@@ -639,20 +613,23 @@ class Planner:
 
     def _extend_backup(self, a: int, target: int, cands) -> None:
         """A later crash candidate maps onto an existing rule: widen that
-        backup's assumptions and make sure it stays collision-free against
-        every path that now coexists with it.
+        backup's alternatives by those that ``cands`` give its slot path's,
+        and make sure it stays collision-free against every path that now
+        coexists with it. Candidates that add no alternative change nothing.
+        The slot path has a child, this backup, so its own alternatives
+        never change, and the union equals what they give all candidates.
 
         The backup has no children, so no other path's alternatives change:
         a rule key fixes the slot, so this event has the round of the one
         that made the backup; a child needs an event at index 3 or later of
         the backup (index-2 events make siblings), so in a later round; and
         events pop in nondecreasing round order."""
-        pp, _idx, stored = self.parent[a][target]
-        add = [c for c in cands if c not in stored]
-        if not add:
+        slot_path, _idx = self.parent[a][target]
+        old = self.alts[a][target]
+        alts = set(old).union(self._probe_alts(a, slot_path, cands))
+        if len(alts) == len(old):
             return
-        stored.extend(add)
-        alts = self.alts[a][target] = self._probe_alts(a, pp, stored)
+        alts = self.alts[a][target] = tuple(sorted(alts, key=sorted))
         res = self._reserved((self.paths[b][pb], self.entry[b][pb])
                              for b, pb in self._coexisting(a, alts))
         if not res.admits(self._timing(self.paths[a][target], self.entry[a][target])):

@@ -203,8 +203,9 @@ def _obs_from_json(item, where: str) -> Observation:
     if not isinstance(item, list) or not 1 <= len(item) <= 2:
         raise ValueError(f"{where}: trigger must be a 1- or 2-element list")
     if len(item) == 2:
-        if item[0] != "crashed" or not isinstance(item[1], int):
-            raise ValueError(f"{where}: bad trigger {item!r}")
+        if item[0] != "crashed" or type(item[1]) is not int:
+            raise ValueError(f"{where}: bad trigger {item!r}, want [\"crashed\", <agent id>]"
+                             " with an int agent id (no bools)")
         return crashed(item[1])
     try:
         return Observation(str(item[0]))

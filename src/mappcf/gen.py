@@ -121,7 +121,9 @@ def gen_well_formed(
 
 
 def parse_dimacs(text: str) -> list[tuple[int, ...]]:
-    """Clauses from DIMACS CNF text; comment and problem lines are skipped."""
+    """Clauses from DIMACS CNF text; comment and problem lines are skipped.
+
+    Raises ValueError naming the first token that is not an integer."""
     clauses: list[tuple[int, ...]] = []
     cur: list[int] = []
     for line in text.splitlines():
@@ -129,7 +131,10 @@ def parse_dimacs(text: str) -> list[tuple[int, ...]]:
         if not line or line.startswith("c") or line.startswith("p"):
             continue
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ValueError(f"literals must be integers, got {tok!r}") from None
             if lit == 0:
                 clauses.append(tuple(cur))
                 cur = []

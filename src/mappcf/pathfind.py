@@ -94,10 +94,6 @@ class Reservations:
         self._last: dict[int, int] = {}
         self.max_time = 0
 
-    def add_path(self, path: Path, start_time: int = 1) -> None:
-        if path:
-            self.add(Timing(path, start_time))
-
     def add(self, timing: Timing) -> None:
         """Register a path given by its :class:`Timing`."""
         occupied, last = self._occupied, self._last

@@ -308,6 +308,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"#2 names agent {agent}" in err
 
+    def test_non_integer_schedule_agent_names_file_and_flag(self, tmp_path, capsys):
+        inst = gen_fixture(tmp_path, "fig1")
+        ref = tmp_path / "fig1.instance.ref-seq-afd.json"
+        sched = tmp_path / "sched.txt"
+        sched.write_text("activate 0\nactivate x\n")
+        capsys.readouterr()
+        code = run_cli(
+            "simulate", "--instance", str(inst), "--solution", str(ref),
+            "--schedule", str(sched),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --schedule {sched}: agent ids must be integers, got 'x'\n"
+
     def test_seq_crash_flag_is_an_error(self, tmp_path, capsys):
         # a seq run crashes agents by schedule lines only
         inst = gen_fixture(tmp_path, "fig1")
@@ -398,6 +412,16 @@ class TestGenRandomAndSat:
         inst = fileio.read_instance(out)
         assert inst.graph.n == 28 and inst.n_agents == 5
         assert inst.name == "sat-phi"
+
+    def test_non_integer_dimacs_literal_names_file_and_flag(self, tmp_path, capsys):
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 2 1\n1 x 0\n")
+        out = tmp_path / "sat.json"
+        code = run_cli("gen", "sat", "--dimacs", str(cnf), "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --dimacs {cnf}: literals must be integers, got 'x'\n"
+        assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli("solve", "--instance", str(tmp_path / "gone.json"))

@@ -97,7 +97,7 @@ class TestPathsConflict:
             path_b = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 9)))
             ea, eb = rng.randrange(1, 6), rng.randrange(1, 6)
             res = Reservations()
-            res.add_path(path_b, eb)
+            res.add(Timing(path_b, eb))
             want = (
                 any(res.blocked_at(v, ea + k) for k, v in enumerate(path_a))
                 or any(res.swap(u, w, ea + k)
@@ -460,7 +460,7 @@ class TestSearchMemo:
             got = planner._search(a, start, t0, blocked, timed, penalize)
             res = Reservations()
             for p, e in timed:
-                res.add_path(p, e)
+                res.add(Timing(p, e))
             penalty = frozenset(v for p, _e in timed for v in p) if penalize else frozenset()
             assert got == find_path_syn(g, start, inst.goals[a], t0, inst.f, blocked=blocked,
                                         reservations=res, penalty=penalty)
@@ -553,20 +553,21 @@ class TestRepeatedPrimaries:
         assert tuple(planner.resolved) == r.events
 
 
-def parent_chain(planner, a, p):
+def parent_chain(planner, cands, a, p):
     """The crash candidate lists of the rules on a's path p's parent chain,
-    the path's own rule first."""
+    the path's own rule first. ``cands`` maps each backup ``(planner,
+    agent, path)`` to the candidates its rule was made and widened with."""
     chain = []
     while planner.parent[a][p] is not None:
-        p, _idx, cands = planner.parent[a][p]
-        chain.append(cands)
+        chain.append(cands[planner, a, p])
+        p, _idx = planner.parent[a][p]
     return chain
 
 
-def scratch_alts(planner, a, p):
+def scratch_alts(planner, cands, a, p):
     """Crash alternatives of a's path p from scratch: one candidate from
     each rule on the path's parent chain, with no agent crashed twice."""
-    alts = {frozenset(pick) for pick in itertools.product(*parent_chain(planner, a, p))
+    alts = {frozenset(pick) for pick in itertools.product(*parent_chain(planner, cands, a, p))
             if len({c.agent for c in set(pick)}) == len(set(pick))}
     return tuple(sorted(alts, key=sorted))
 
@@ -579,10 +580,10 @@ class TestBackupAlternatives:
 
     def test_widenings_hit_childless_backups(self, data_dir, monkeypatch):
         # a restart that repeats failed primaries runs no event stage, so
-        # the pinned grid alone widens 359 backups; seeds 4-11 of seven
-        # agents on both of its maps add more than 800. The planner that
-        # resolves every event runs them all: with the doomed-event exit
-        # the sweep widens only 153 backups
+        # the pinned grid alone widens 352 backups; seeds 4-11 of seven
+        # agents on both of its maps add 607. The planner that resolves
+        # every event runs them all: with the doomed-event exit the sweep
+        # widens only 164 backups
         monkeypatch.setattr(dcrf, "Planner", EveryEventPlanner)
         more = [
             (gen_well_formed(g, 7, f, seed), fd)
@@ -590,23 +591,39 @@ class TestBackupAlternatives:
                       parse_map((data_dir / "random-16-16-10.map").read_text()))
             for f in (1, 2) for seed in range(4, 12) for fd in (NFD, AFD)
         ]
-        widened, planners = [], []
-        extend, run_events = Planner._extend_backup, Planner.run_events
+        # the planner keeps no candidate lists, so the test records each
+        # rule's: from the event that made its backup, and from every
+        # event that widened it
+        widened, planners, cands = [], [], {}
+        resolve, extend = Planner.resolve, Planner._extend_backup
+        run_events = Planner.run_events
 
-        def recording_extend(self, a, target, cands):
-            before = len(self.parent[a][target][2])
+        def recording_resolve(self, ev):
+            a = ev.effect.agent
+            made = len(self.paths[a])
             try:
-                extend(self, a, target, cands)
+                resolve(self, ev)
             finally:
-                if len(self.parent[a][target][2]) > before:
-                    children = [q for q, edge in enumerate(self.parent[a])
-                                if edge is not None and edge[0] == target]
+                if len(self.paths[a]) > made:
+                    cands[self, a, made] = list(ev.candidates())
+
+        def recording_extend(self, a, target, new):
+            before = self.alts[a][target]
+            stored = cands[self, a, target]
+            stored += [c for c in new if c not in stored]
+            try:
+                extend(self, a, target, new)
+            finally:
+                if self.alts[a][target] != before:
+                    children = [q for q, slot in enumerate(self.parent[a])
+                                if slot is not None and slot[0] == target]
                     widened.append(children)
 
         def recording_run_events(self):
             planners.append(self)
             return run_events(self)
 
+        monkeypatch.setattr(Planner, "resolve", recording_resolve)
         monkeypatch.setattr(Planner, "_extend_backup", recording_extend)
         monkeypatch.setattr(Planner, "run_events", recording_run_events)
         grid = [(inst, fd) for _key, inst, fd in pinned_grid(data_dir)]
@@ -616,10 +633,11 @@ class TestBackupAlternatives:
                 for a in inst.agents():
                     for p in range(len(planner.paths[a])):
                         alts = planner.alts[a][p]
-                        assert alts == scratch_alts(planner, a, p)
-                        chain = parent_chain(planner, a, p)
+                        assert alts == scratch_alts(planner, cands, a, p)
+                        chain = parent_chain(planner, cands, a, p)
                         assert ({c.vertex for alt in alts for c in alt}
-                                == {c.vertex for cands in chain for c in cands})
+                                == {c.vertex for rule in chain for c in rule})
             planners.clear()
+            cands.clear()
         assert len(widened) >= 600
         assert not any(widened)

@@ -118,6 +118,15 @@ class TestDocs:
         for obs in (VACANT, CORRECT, CRASHED_ANON, crashed(2)):
             assert fileio._obs_from_json(fileio._obs_to_json(obs), "t") == obs
 
+    def test_bool_trigger_agent_is_refused(self, tmp_path):
+        # JSON true is a Python int; read as an agent id it would be agent 1
+        doc = fileio.solution_to_doc(fixture("fig1").solutions[0])
+        doc["plans"][1]["rules"][0]["trigger"] = ["crashed", True]
+        p = tmp_path / "s.json"
+        fileio.write_doc(p, doc)
+        with pytest.raises(ValueError, match=r"plan 1, rule 0: bad trigger.*no bools"):
+            fileio.read_solution(p)
+
     def test_bad_doc_kind(self, tmp_path):
         p = tmp_path / "x.json"
         fileio.write_doc(p, {"kind": "mystery"})

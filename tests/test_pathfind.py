@@ -9,6 +9,7 @@ from mappcf.core import Graph, bfs_distances, vertex_mask
 from mappcf.gen import grid_graph
 from mappcf.pathfind import (
     Reservations,
+    Timing,
     find_path_seq,
     find_path_syn,
     goal_distances,
@@ -111,7 +112,7 @@ def timed_case(g, s, t, reserved, blocked=frozenset(), penalty=frozenset(), star
     """``find_path_syn`` and the oracle on one case, plus its horizon."""
     res = Reservations()
     for path, t0 in reserved:
-        res.add_path(path, t0)
+        res.add(Timing(path, t0))
     got = find_path_syn(g, s, t, start_time, f, blocked=blocked, reservations=res,
                         penalty=penalty)
     want = best_timed_walk(g, s, t, reserved, blocked, penalty, start_time, f)
@@ -262,14 +263,14 @@ class TestMustVisit:
 class TestReservations:
     def test_timed_occupancy(self):
         res = Reservations()
-        res.add_path((0, 1, 2), start_time=1)
+        res.add(Timing((0, 1, 2), 1))
         assert res.blocked_at(1, 2)
         assert not res.blocked_at(1, 1)
         assert res.blocked_at(2, 3) and res.blocked_at(2, 99)  # parked forever
 
     def test_swap_detection(self):
         res = Reservations()
-        res.add_path((0, 1), start_time=1)
+        res.add(Timing((0, 1), 1))
         # the 0->1 hop departs at time 1, so the head-on probe is keyed there
         assert res.swap(1, 0, 1)
         assert not res.swap(0, 1, 1)
@@ -277,7 +278,7 @@ class TestReservations:
 
     def test_free_forever(self):
         res = Reservations()
-        res.add_path((0, 1, 2), start_time=1)
+        res.add(Timing((0, 1, 2), 1))
         assert not res.free_forever(2, 5)
         assert res.free_forever(1, 3)
         assert not res.free_forever(1, 2)
@@ -285,7 +286,7 @@ class TestReservations:
     def test_max_time(self):
         res = Reservations()
         assert res.max_time == 0
-        res.add_path((0, 1, 2), start_time=4)
+        res.add(Timing((0, 1, 2), 4))
         assert res.max_time == 6
 
     def test_content_ignores_order_and_repeats(self):
@@ -294,7 +295,7 @@ class TestReservations:
         def content(pairs):
             res = Reservations()
             for path, start in pairs:
-                res.add_path(path, start)
+                res.add(Timing(path, start))
             return res._occupied, res._moves, res._forever, res._last, res.max_time
 
         rng = random.Random(5)
@@ -326,20 +327,20 @@ class TestFindPathSyn:
         # for three rounds, ours has to idle at the start
         g = Graph.build(4, [(0, 1), (1, 2), (1, 3)])
         res = Reservations()
-        res.add_path((3, 1, 1, 1, 3), start_time=1)
+        res.add(Timing((3, 1, 1, 1, 3), 1))
         p = find_path_syn(g, 0, 2, reservations=res)
         assert p == (0, 0, 0, 0, 1, 2)
 
     def test_swap_is_fatal_not_crossable(self):
         g = Graph.build(2, [(0, 1)])
         res = Reservations()
-        res.add_path((1, 0), start_time=1)
+        res.add(Timing((1, 0), 1))
         assert find_path_syn(g, 0, 1, reservations=res) is None
 
     def test_goal_must_be_free_forever(self):
         g = Graph.build(3, [(0, 1), (1, 2)])
         res = Reservations()
-        res.add_path((2,), start_time=1)  # someone parked on our goal
+        res.add(Timing((2,), 1))  # someone parked on our goal
         assert find_path_syn(g, 0, 2, reservations=res) is None
 
     def test_blocked_vertices(self):
@@ -361,7 +362,7 @@ class TestFindPathSyn:
         # entering late shifts the timeline; the reserved cell is clear by then
         g = Graph.build(4, [(0, 1), (1, 2), (1, 3)])
         res = Reservations()
-        res.add_path((3, 1, 3), start_time=1)
+        res.add(Timing((3, 1, 3), 1))
         late = find_path_syn(g, 0, 2, reservations=res, start_time=3)
         assert late == (0, 1, 2)
         early = find_path_syn(g, 0, 2, reservations=res, start_time=1)
@@ -439,7 +440,7 @@ class TestFindPathSyn:
         # rounds before the last reservation, and only then grows
         g = Graph.build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
         res = Reservations()
-        res.add_path((5,) + (2,) * 12 + (5,), start_time=1)
+        res.add(Timing((5,) + (2,) * 12 + (5,), 1))
         p = find_path_syn(g, 0, 4, reservations=res)
         assert p == (0,) * 12 + (1, 2, 3, 4)
 
@@ -448,7 +449,7 @@ class TestFindPathSyn:
         # the horizon, and a search of the graph minus 4 refuses it
         g = Graph.build(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
         res = Reservations()
-        res.add_path((0,) + (1,) * 29 + (2,), start_time=5)
+        res.add(Timing((0,) + (1,) * 29 + (2,), 5))
         assert res.max_time == 35
         cons = dict(blocked=frozenset({4}), reservations=res)
         assert find_path_syn(g, 6, 3, **cons) is None
