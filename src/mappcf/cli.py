@@ -129,7 +129,7 @@ def _parse_crash_args(specs) -> dict:
     crash_times = {}
     for item in specs:
         agent, sep, when = item.partition("@")
-        if not sep or not agent.strip().isdigit() or not when.strip().isdigit():
+        if not sep or not agent.strip().isdecimal() or not when.strip().isdecimal():
             raise ValueError(f"--crash wants 'agent@round', got {item!r}")
         a = int(agent)
         if a in crash_times:

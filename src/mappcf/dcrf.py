@@ -79,8 +79,8 @@ from .core import (
     crashed,
     shared_vertices,
     validate_instance,
+    validate_solution,
     vertex_mask,
-    _path_violations,
 )
 from .pathfind import Reservations, Timing, find_path_seq, find_path_syn, goal_distances
 
@@ -339,16 +339,21 @@ class Planner:
     # -- stage 1: initial paths -------------------------------------------
 
     def set_initial_paths(self, paths) -> None:
-        inst = self.inst
+        """Install forced primaries, one per agent. Raises ValueError unless
+        each is a well-formed path of the model (as rule-free plans pass
+        :func:`~mappcf.core.validate_solution`) from its agent's start to
+        its goal, and, under seq, unless they are vertex-disjoint."""
+        inst, cfg = self.inst, self.cfg
         if len(paths) != inst.n_agents:
             raise ValueError("one forced path per agent required")
+        plans = tuple(Plan((tuple(p),)) for p in paths)
+        bad = validate_solution(inst, Solution(cfg.model, cfg.fd, plans))
+        if bad:
+            raise ValueError("; ".join(bad))
         for a, p in enumerate(paths):
-            if p[0] != inst.starts[a] or p[-1] != inst.goals[a]:
-                raise ValueError(f"forced path of agent {a} has wrong endpoints")
-            bad = _path_violations(inst.graph, self.cfg.model, a, 0, tuple(p))
-            if bad:
-                raise ValueError("; ".join(bad))
-        if self.cfg.model == SEQ:
+            if p[-1] != inst.goals[a]:
+                raise ValueError(f"forced path of agent {a} does not end at its goal")
+        if cfg.model == SEQ:
             # run_events plans no seq backups, which is sound only for
             # vertex-disjoint primaries: overlapping ones can deadlock with
             # no crash at all
@@ -670,7 +675,11 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     Tries the identity priority order (or the pinned one), then up to
     ``RESTARTS`` seeded reshuffles on failure. Forced initial paths
     or a pinned priority imply a single attempt, since a retry would repeat
-    it verbatim.
+    it verbatim. Each attempt starts a fresh result, with ``attempts``
+    counting it; the first solved attempt or a timeout ends the loop, and
+    the loop's one exit stamps ``runtime``. A timeout result carries no
+    primaries or events. Forced primaries that are malformed (see
+    :meth:`Planner.set_initial_paths`) raise ValueError.
 
     The attempts share one :class:`SearchMemo`, so a search that a restart
     repeats with the same input runs once, in either model; the result is
@@ -678,8 +687,9 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     only as long as the solve: two solves share nothing.
 
     A restart whose refined primaries equal those of an earlier failed
-    attempt skips the event stage and fails as that attempt did, with its
-    status and resolved events (it still counts as an attempt). The event
+    attempt skips the event stage and fails as that attempt did, with
+    ``no_backup`` and its resolved events (it still counts as an attempt;
+    ``run_events`` fails with ``no_backup`` only). The event
     stage is a function of the primaries alone: the planner's state after
     they are installed and refined depends on nothing else, and the memo
     returns what a fresh search would.
@@ -694,49 +704,33 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
         raise ValueError(f"unknown failure detector {cfg.fd!r}")
     t0 = time.monotonic()
     deadline_at = cpu_deadline(cfg.deadline)
-    rng = random.Random(cfg.seed)
     n = inst.n_agents
-    pinned = cfg.priority is not None or cfg.initial_paths is not None
-    attempts_allowed = 1 if pinned else 1 + RESTARTS
-    base_order = tuple(cfg.priority) if cfg.priority is not None else tuple(range(n))
-    if cfg.priority is not None and sorted(base_order) != list(range(n)):
+    if cfg.priority is not None and sorted(cfg.priority) != list(range(n)):
         raise ValueError("priority must be a permutation of the agent ids")
-
-    last = SolveResult(status="init_paths")
-    attempts = 0
+    rng = random.Random(cfg.seed)
+    pinned = cfg.priority is not None or cfg.initial_paths is not None
     memo = SearchMemo()
-    failed: dict = {}  # primaries -> (status, resolved events) of their failed event stage
-    for attempt in range(attempts_allowed):
-        order = base_order if attempt == 0 else tuple(rng.sample(range(n), n))
+    failed: dict = {}  # primaries -> resolved events of their failed event stage
+    for attempt in range(1 if pinned else 1 + RESTARTS):
+        order = (cfg.priority or range(n)) if attempt == 0 else rng.sample(range(n), n)
+        res = SolveResult("init_paths", attempts=attempt + 1)
         planner = Planner(inst, cfg, deadline_at, memo)
-        attempts += 1
         try:
             if cfg.initial_paths is not None:
                 planner.set_initial_paths(cfg.initial_paths)
-            else:
-                if not planner.get_initial_plans(order):
-                    last = SolveResult(status="init_paths", attempts=attempts)
-                    continue
+            elif planner.get_initial_plans(order):
                 planner.refine_initial_paths(order)
-            initial = tuple(planner.paths[a][0] for a in inst.agents())
-            if initial not in failed:
-                status = planner.run_events()
-                if status == "solved":
-                    return SolveResult(
-                        status="solved",
-                        solution=planner.build_solution(),
-                        events=tuple(planner.resolved),
-                        initial_paths=initial,
-                        attempts=attempts,
-                        runtime=time.monotonic() - t0,
-                    )
-                failed[initial] = (status, tuple(planner.resolved))
+            else:
+                continue
+            res.initial_paths = initial = tuple(planner.paths[a][0] for a in inst.agents())
+            if initial not in failed and planner.run_events() == "solved":
+                res.status, res.solution = "solved", planner.build_solution()
+                res.events = tuple(planner.resolved)
+                break
+            res.status = "no_backup"
+            res.events = failed.setdefault(initial, tuple(planner.resolved))
         except Timeout:
-            return SolveResult(
-                status="timeout", attempts=attempts, runtime=time.monotonic() - t0
-            )
-        status, events = failed[initial]
-        last = SolveResult(status=status, events=events, initial_paths=initial,
-                           attempts=attempts)
-    last.runtime = time.monotonic() - t0
-    return last
+            res = SolveResult("timeout", attempts=attempt + 1)
+            break
+    res.runtime = time.monotonic() - t0
+    return res

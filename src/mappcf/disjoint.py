@@ -38,8 +38,7 @@ lowest bit first, which is the ascending vertex order of a sorted set. A
 node therefore holds 3n ints and n path tuples, the tuples shared with its
 parent except for the replanned agents. Measured per expanded node, with
 the heap and the closed set: about 0.5 KB on an 8x8 map with two agents
-and 1.9 KB on a 16x16 map with eight, a fifth to a sixth of what the
-same search took with frozensets.
+and 1.9 KB on a 16x16 map with eight.
 """
 
 from __future__ import annotations
@@ -141,11 +140,6 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _put(t: tuple, i: int, x) -> tuple:
-    """``t`` with its i-th entry replaced by ``x``."""
-    return t[:i] + (x,) + t[i + 1 :]
-
-
 def solve_disjoint(
     inst: Instance,
     model: str = SYN,
@@ -154,15 +148,24 @@ def solve_disjoint(
 ) -> DisjointResult:
     """Best-first search for a minimum-total-length disjoint path tuple.
 
-    Open-list order: sum of path lengths, then number of pairwise shared
-    vertices, then insertion order. The disjoint tuples consistent with a
-    node depend only on its per-agent forbidden sets, before propagation
-    or after, so nodes are deduplicated by both signatures. The root
-    forbids each agent the other agents' starts and goals. Infeasible is
-    returned only after the whole tree is exhausted; Timeout when the
-    deadline, in cpu-seconds, passes first (None for no limit; see
-    :func:`~mappcf.core.cpu_deadline`, which rejects NaN and negative
-    budgets).
+    The root forbids each agent the other agents' starts and goals and
+    plans the agents in order. A child forbids the branched vertex to one
+    agent of the conflict and replans that agent. Root and children then
+    pass through one routine, ``push``, which settles the node by
+    must-visit propagation and queues it. Open-list order: sum of path
+    lengths, then number of pairwise shared vertices, then insertion order.
+
+    The disjoint tuples consistent with a node depend only on its
+    per-agent forbidden sets, before propagation or after, so nodes are
+    deduplicated by both signatures: a child is dropped when its branched
+    sets, or its settled sets, were seen before. Settled sets equal to the
+    child's own branched sets do not count as seen.
+
+    Every result comes from one builder, ``result``, which wraps solved
+    paths as rule-free plans. Infeasible is returned only after the whole
+    tree is exhausted; Timeout when the deadline, in cpu-seconds, passes
+    first (None for no limit; see :func:`~mappcf.core.cpu_deadline`, which
+    rejects NaN and negative budgets).
     """
     problems = validate_instance(inst)
     if problems:
@@ -174,6 +177,13 @@ def solve_disjoint(
     t0 = time.monotonic()
     deadline_at = cpu_deadline(deadline)
     n = inst.n_agents
+    nodes = pruned = 0
+
+    def result(status: str, paths: "tuple[Path, ...] | None" = None) -> DisjointResult:
+        sol = None
+        if paths is not None:
+            sol = Solution(model=model, fd=fd, plans=tuple(Plan(paths=(p,)) for p in paths))
+        return DisjointResult(status, sol, paths, nodes, pruned, time.monotonic() - t0)
 
     def replan(a: int, forbidden: int, sets):
         # among shortest paths, steer away from the other agents' current
@@ -216,84 +226,64 @@ def solve_disjoint(
                 changed.add(b)
         return True
 
+    heap: list = []
+    closed: set = set()
+    seq = itertools.count()
+
+    def push(forbids, paths, sets, cuts, changed, branched=None) -> bool:
+        """Settle a node and queue it, unless a node with the same settled
+        forbidden sets was queued before. False when settling refutes it.
+
+        ``branched`` is a child's forbidden sets before settling, which the
+        caller has already closed: a child that settling leaves there is
+        still queued."""
+        if not settle(forbids, paths, sets, cuts, changed):
+            return False
+        key = tuple(forbids)
+        if key != branched and key in closed:
+            return True
+        closed.add(key)
+        cost = sum(len(p) - 1 for p in paths)
+        entry = (cost, shared_vertices(sets), next(seq), key, tuple(paths), tuple(sets), tuple(cuts))
+        heapq.heappush(heap, entry)
+        return True
+
     # in a disjoint tuple, every other agent's endpoints lie on that agent's
     # path, so they are off limits from the root on
     forbids = [
         vertex_mask(v for b in range(n) if b != a for v in (inst.starts[b], inst.goals[b]))
         for a in range(n)
     ]
-    paths, sets, cuts = [], [], []
+    paths, sets, cuts = [None] * n, [0] * n, [0] * n
     for a in range(n):
         # the root plans in agent order, each agent steering away from the
         # agents planned before it
         found = replan(a, forbids[a], sets)
         if found is None:
-            return DisjointResult("infeasible", runtime=time.monotonic() - t0)
-        p, vs, cut = found
-        paths.append(p)
-        sets.append(vs)
-        cuts.append(cut)
-    if not settle(forbids, paths, sets, cuts, range(n)):
-        return DisjointResult("infeasible", runtime=time.monotonic() - t0)
+            return result("infeasible")
+        paths[a], sets[a], cuts[a] = found
+    if not push(forbids, paths, sets, cuts, range(n)):
+        return result("infeasible")
 
-    def cost(paths) -> int:
-        return sum(len(p) - 1 for p in paths)
-
-    root = tuple(forbids)
-    seq = itertools.count()
-    heap = [
-        (cost(paths), shared_vertices(sets), next(seq), root, tuple(paths), tuple(sets), tuple(cuts))
-    ]
-    closed = {root}
-    nodes = pruned = 0
     while heap:
         if deadline_at is not None and time.process_time() > deadline_at:
-            return DisjointResult(
-                "timeout", nodes=nodes, pruned=pruned, runtime=time.monotonic() - t0
-            )
+            return result("timeout")
         _, _, _, forbids, paths, sets, cuts = heapq.heappop(heap)
         nodes += 1
         hit = _pick_conflict(sets, cuts)
         if hit is None:
-            plans = tuple(Plan(paths=(p,)) for p in paths)
-            sol = Solution(model=model, fd=fd, plans=plans)
-            return DisjointResult(
-                "solved",
-                solution=sol,
-                paths=paths,
-                nodes=nodes,
-                pruned=pruned,
-                runtime=time.monotonic() - t0,
-            )
+            return result("solved", paths)
         a, b, v = hit
         for agent in (a, b):
-            child = _put(forbids, agent, forbids[agent] | 1 << v)
+            child = forbids[:agent] + (forbids[agent] | 1 << v,) + forbids[agent + 1 :]
             if child in closed:
                 continue
             closed.add(child)
             found = replan(agent, child[agent], sets)
             if found is None:
                 continue
-            cforbids, cpaths, csets, ccuts = list(child), list(paths), list(sets), list(cuts)
+            cpaths, csets, ccuts = list(paths), list(sets), list(cuts)
             cpaths[agent], csets[agent], ccuts[agent] = found
-            if not settle(cforbids, cpaths, csets, ccuts, (agent,)):
+            if not push(list(child), cpaths, csets, ccuts, (agent,), child):
                 pruned += 1
-                continue
-            cforbids = tuple(cforbids)
-            if cforbids != child and cforbids in closed:
-                continue
-            closed.add(cforbids)
-            csets = tuple(csets)
-            heapq.heappush(
-                heap,
-                (
-                    cost(cpaths),
-                    shared_vertices(csets),
-                    next(seq),
-                    cforbids,
-                    tuple(cpaths),
-                    csets,
-                    tuple(ccuts),
-                ),
-            )
-    return DisjointResult("infeasible", nodes=nodes, pruned=pruned, runtime=time.monotonic() - t0)
+    return result("infeasible")

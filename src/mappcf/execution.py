@@ -323,11 +323,11 @@ def run_syn(inst: Instance, sol: Solution, crash_times: "dict[int, int]") -> Run
         pending = any(ct > t for ct in crash_times.values())
         if not pending:
             if cfg in seen:
+                # every configuration in seen failed cp.settled at the top
+                # of a round, so some agent is still correct
                 stuck = _correct(cp, cfg)
-                if stuck:
-                    trace.note(f"no progress: configuration repeats, stuck={stuck}")
-                    return RunResult("stuck", t, cp.decode(cfg), trace, stuck_agents=stuck)
-                return RunResult("arrived", t, cp.decode(cfg), trace)
+                trace.note(f"no progress: configuration repeats, stuck={stuck}")
+                return RunResult("stuck", t, cp.decode(cfg), trace, stuck_agents=stuck)
             seen[cfg] = t
         else:
             seen = {cfg: t}

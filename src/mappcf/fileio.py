@@ -40,7 +40,7 @@ def parse_map(text: str) -> Graph:
 
     def dimension(idx: int, label: str) -> int:
         parts = lines[idx].split()
-        if len(parts) != 2 or parts[0] != label or not parts[1].isdigit():
+        if len(parts) != 2 or parts[0] != label or not parts[1].isdecimal():
             raise ValueError(f"map header line {idx + 1}: expected '{label} <count>'")
         return int(parts[1])
 

@@ -28,7 +28,6 @@ from .core import (
     bfs_distances,
     check_necessary,
     crashed,
-    validate_instance,
 )
 
 
@@ -110,8 +109,6 @@ def gen_well_formed(
             f=f,
             name=f"random-n{n_agents}-f{f}-s{seed}",
         )
-        if validate_instance(inst):
-            continue
         if check_necessary(inst).holds:
             return inst
     raise GiveUp(f"no well-formed instance after {max_tries} tries")

@@ -284,7 +284,9 @@ class TestSimulate:
         (["0@0"], "rounds start at 1"),
         (["0@2", "0@1"], "agent 0 twice"),
         (["5@1"], "names agent 5"),
-    ], ids=["round-0", "agent-twice", "no-agent-5"])
+        # str.isdigit accepts a superscript two, which int() refuses
+        (["1@\u00b2"], "--crash wants 'agent@round'"),
+    ], ids=["round-0", "agent-twice", "no-agent-5", "superscript-round"])
     def test_bad_crash_is_an_error(self, tmp_path, capsys, crashes, message):
         inst = gen_fixture(tmp_path, "fig1")
         ref = tmp_path / "fig1.instance.ref-syn-afd.json"

@@ -119,6 +119,17 @@ class TestForcedSeqPrimaries:
             solve(inst, SolverConfig(model=SEQ, fd=NFD, initial_paths=forced))
 
 
+class TestForcedPrimaries:
+    @pytest.mark.parametrize("forced, message", [
+        (((), (3, 1, 4)), "agent 0 path 0: empty path"),
+        (((1, 2), (3, 1, 4)), "agent 0: primary path does not begin at its start"),
+        (((0, 1), (3, 1, 4)), "forced path of agent 0 does not end at its goal"),
+    ], ids=["empty", "wrong-start", "wrong-goal"])
+    def test_malformed_primaries_are_refused(self, forced, message):
+        with pytest.raises(ValueError, match=message):
+            solve(fixture("fig1").instance, SolverConfig(initial_paths=forced))
+
+
 class TestSeqPlansAreDisjoint:
     def test_solved_seq_plans_are_rule_free_and_vertex_disjoint(self):
         # run_events skips the event engine under seq; that is sound only

@@ -29,6 +29,11 @@ class TestParseMap:
         with pytest.raises(ValueError):
             fileio.parse_map("type octile\nheight x\nwidth 1\nmap\n.\n")
 
+    def test_rejects_non_decimal_dimension(self):
+        # "\u00b2" (superscript two) passes str.isdigit but not int()
+        with pytest.raises(ValueError, match="map header line 2: expected 'height <count>'"):
+            fileio.parse_map("type octile\nheight \u00b2\nwidth 1\nmap\n.\n")
+
     def test_rejects_short_row(self):
         with pytest.raises(ValueError):
             fileio.parse_map("type octile\nheight 1\nwidth 3\nmap\n..\n")
