@@ -191,13 +191,16 @@ def _cmd_gen(args) -> int:
             pri.write_text(" ".join(str(a) for a in fx.priority) + "\n")
             written.append(pri)
     elif args.source == "random":
+        if args.scen and args.seed is not None:
+            raise ValueError("--seed applies to sampled instances only, not to --scen")
         graph = fileio.parse_map(Path(args.map).read_text())
         stem = Path(args.map).stem
         if args.scen:
             inst = _scen_instance(graph, args.scen, args.n, args.f, f"{stem}-n{args.n}-f{args.f}")
         else:
-            inst = gen.gen_well_formed(graph, args.n, args.f, args.seed)
-            inst = replace(inst, name=f"{stem}-n{args.n}-f{args.f}-s{args.seed}")
+            seed = args.seed or 0
+            inst = gen.gen_well_formed(graph, args.n, args.f, seed)
+            inst = replace(inst, name=f"{stem}-n{args.n}-f{args.f}-s{seed}")
         out = Path(args.out) if args.out else Path(f"{inst.name}.instance.json")
         fileio.write_instance(out, inst)
         written.append(out)
@@ -392,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     pgr.add_argument("--scen", help="take starts/goals from a scenario file")
     pgr.add_argument("--n", type=int, required=True)
     pgr.add_argument("--f", type=int, default=1)
-    pgr.add_argument("--seed", type=int, default=0)
+    pgr.add_argument("--seed", type=int, help="sampling seed (default 0); not with --scen")
     pgr.add_argument("--out")
     pgr.set_defaults(func=_cmd_gen)
     pgs = gsub.add_parser("sat", help="reduce a DIMACS CNF formula")

@@ -276,22 +276,44 @@ class NecessaryCheck:
 
 
 def check_necessary(inst: Instance) -> NecessaryCheck:
+    """The necessary condition for solvability, agent by agent.
+
+    Agent i meets the goal condition if it can reach its goal while
+    avoiding every other goal, and the start condition if, for each set
+    of ``k = min(f, n - 1)`` other agents, it can reach its goal while
+    avoiding their starts.
+
+    Each agent costs one search plus a cheap filter. One breadth-first
+    search from the goal over the reversed graph, avoiding the other
+    goals and stopped at the start, decides the goal condition. Walking
+    down its distances from the start gives a shortest route. When the
+    goal condition fails, the route comes from a second search that
+    avoids nothing. The route then filters the crash sets of the start
+    condition. A set whose starts all miss the route cannot cut i off,
+    because the route is a path that avoids them and so proves
+    reachability. Only the sets that meet the route run a search of
+    their own. The filter therefore gives the same flags as one search
+    per crash set, usually for far fewer searches.
+    """
     g = inst.graph
-    n = inst.n_agents
+    k = min(inst.f, inst.n_agents - 1)
     goal_flags = []
     start_flags = []
     for i in inst.agents():
-        others_goals = frozenset(inst.goals[j] for j in inst.agents() if j != i)
-        goal_flags.append(reachable(g, inst.starts[i], inst.goals[i], others_goals))
-        k = min(inst.f, n - 1)
-        ok = True
+        s, t = inst.starts[i], inst.goals[i]
         others = [j for j in inst.agents() if j != i]
-        for combo in itertools.combinations(others, k):
-            avoid = frozenset(inst.starts[j] for j in combo)
-            if not reachable(g, inst.starts[i], inst.goals[i], avoid):
-                ok = False
-                break
-        start_flags.append(ok)
+        dist = bfs_distances(g.reverse, t, {inst.goals[j] for j in others}, stop=s)
+        goal_flags.append(dist[s] >= 0)
+        if dist[s] < 0:
+            dist = bfs_distances(g.reverse, t, stop=s)
+        route = {s}
+        v = s
+        while dist[v] > 0:
+            v = next(w for w in g.adj[v] if dist[w] == dist[v] - 1)
+            route.add(v)
+        crash_sets = ({inst.starts[j] for j in c} for c in itertools.combinations(others, k))
+        start_flags.append(dist[s] >= 0 and all(
+            route.isdisjoint(avoid) or reachable(g, s, t, avoid) for avoid in crash_sets))
     goal_t = tuple(goal_flags)
     start_t = tuple(start_flags)
     return NecessaryCheck(goal_t, start_t, all(goal_t) and all(start_t))

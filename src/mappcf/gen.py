@@ -84,10 +84,12 @@ def gen_well_formed(
 ) -> Instance:
     """Sample distinct starts/goals until the necessary condition holds.
 
-    Deterministic for a fixed seed. Raises ValueError for fewer than one
-    agent or a negative crash budget, and GiveUp when max_tries samples
-    all fail, including the degenerate cases where no sample can be valid:
-    f above n_agents, or a graph with fewer than 2 * n_agents vertices.
+    Each sample costs :func:`check_necessary` one search per agent, plus
+    one per crash set that meets the agent's route. Deterministic for a
+    fixed seed. Raises ValueError for fewer than one agent or a negative
+    crash budget, and GiveUp when max_tries samples all fail, including
+    the degenerate cases where no sample can be valid: f above n_agents,
+    or a graph with fewer than 2 * n_agents vertices.
     """
     if n_agents < 1 or f < 0:
         raise ValueError(f"need at least 1 agent and f >= 0, got n={n_agents}, f={f}")

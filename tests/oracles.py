@@ -221,6 +221,40 @@ def must_visit_vertices(graph, s, t, forbidden=frozenset()):
                      if v not in forbidden and v not in (s, t) and not reaches(forbidden | {v})}
 
 
+def necessary_condition(graph, starts, goals, f):
+    """``core.check_necessary`` as (goal_condition, start_condition, holds),
+    by one breadth-first search per avoided vertex set.
+
+    Agent i's goal condition asks for a route from its start to its goal
+    that avoids every other goal; its start condition asks for one such
+    route per set of min(f, n - 1) other agents, avoiding their starts.
+    """
+
+    def reaches(s, t, walls):
+        if s in walls or t in walls:
+            return False
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if u == t:
+                return True
+            for w in graph.adj[u]:
+                if w not in seen and w not in walls:
+                    seen.add(w)
+                    queue.append(w)
+        return False
+
+    n = len(starts)
+    goal_ok, start_ok = [], []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        goal_ok.append(reaches(starts[i], goals[i], {goals[j] for j in others}))
+        start_ok.append(all(reaches(starts[i], goals[i], {starts[j] for j in combo})
+                            for combo in itertools.combinations(others, min(f, n - 1))))
+    return tuple(goal_ok), tuple(start_ok), all(goal_ok) and all(start_ok)
+
+
 # --- reference stepping ----------------------------------------------------
 #
 # The per-agent stepping that ``mappcf.execution`` replaced with its

@@ -388,11 +388,38 @@ class TestGenRandomAndSat:
         code = run_cli(
             "gen", "random", "--map", str(tmp_path / "m8.map"),
             "--scen", str(tmp_path / "m8.scen"),
-            "--n", "2", "--f", "1", "--seed", "0", "--out", str(out),
+            "--n", "2", "--f", "1", "--out", str(out),
         )
         assert code == 0
         inst = fileio.read_instance(out)
         assert inst.starts == (0, 1) and inst.goals == (g.n - 1, g.n - 2)
+        assert inst.name == "m8-n2-f1"
+
+    def test_seed_without_scen_defaults_to_zero(self, tmp_path):
+        (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))
+        insts = []
+        for seed in ((), ("--seed", "0")):
+            out = tmp_path / f"inst{len(insts)}.json"
+            code = run_cli("gen", "random", "--map", str(tmp_path / "m8.map"),
+                           "--n", "3", *seed, "--out", str(out))
+            assert code == 0
+            insts.append(fileio.read_instance(out))
+        assert insts[0] == insts[1] and insts[0].name == "m8-n3-f1-s0"
+
+    def test_seed_with_scen_is_an_error(self, tmp_path, capsys):
+        (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))
+        g = fileio.parse_map((tmp_path / "m8.map").read_text())
+        (tmp_path / "m8.scen").write_text(scen_text(g, [(0, g.n - 1)], "m8.map", 8, 8))
+        out = tmp_path / "inst.json"
+        code = run_cli(
+            "gen", "random", "--map", str(tmp_path / "m8.map"),
+            "--scen", str(tmp_path / "m8.scen"),
+            "--n", "1", "--seed", "5", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --seed applies to sampled instances only, not to --scen\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("n, f", [("0", "1"), ("-1", "1"), ("2", "-1")])
     def test_out_of_range_n_or_f_is_an_error(self, tmp_path, capsys, n, f):

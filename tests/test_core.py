@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mappcf import core
 from mappcf.core import (
     AFD,
     CORRECT,
@@ -29,7 +30,9 @@ from mappcf.core import (
     validate_solution,
     vertex_mask,
 )
-from mappcf.gen import fixture
+from mappcf.fileio import parse_map
+from mappcf.gen import fixture, gen_well_formed, random_grid_map
+from oracles import necessary_condition
 
 
 def path_graph(k):
@@ -188,6 +191,67 @@ class TestNecessaryCondition:
         inst = Instance(graph=g, starts=(0, 2), goals=(4, 3), f=0)
         # with no crashes possible the start condition has no subsets to dodge
         assert check_necessary(inst).start_condition == (True, True)
+
+    @pytest.fixture(scope="class")
+    def graphs(self, data_dir):
+        rng = random.Random(3)
+        ring = [(v, (v + 1) % 20) for v in range(20)]
+        chords = [tuple(rng.sample(range(20), 2)) for _ in range(12)]
+        return (
+            parse_map(random_grid_map(8, 8, seed=0)),
+            parse_map((data_dir / "random-16-16-10.map").read_text()),
+            Graph.build(20, ring + chords, directed=True),
+        )
+
+    def test_matches_one_search_per_crash_set(self, graphs, monkeypatch):
+        # check_necessary searches only the crash sets that meet its route;
+        # the comparison tests that filter only if such sets both cut the
+        # agent off and leave it a detour, many times each
+        met = []
+        real = core.reachable
+
+        def spy(*args):
+            met.append(real(*args))
+            return met[-1]
+
+        monkeypatch.setattr(core, "reachable", spy)
+        rng = random.Random(26)
+        goal_fails = start_fails = held = 0
+        for case in range(2400):
+            g = graphs[case % 3]
+            n, f = rng.randint(1, 8), rng.randint(0, 3)
+            # drawn apart, so a goal may be another agent's start or its own
+            starts = tuple(rng.sample(range(g.n), n))
+            goals = tuple(rng.sample(range(g.n), n))
+            chk = check_necessary(Instance(g, starts, goals, f))
+            goal_ok, start_ok, holds = necessary_condition(g, starts, goals, f)
+            assert chk.goal_condition == goal_ok, case
+            assert chk.start_condition == start_ok, case
+            assert chk.holds == holds, case
+            goal_fails += not all(goal_ok)
+            start_fails += not all(start_ok)
+            held += holds
+        assert met.count(True) > 1000 and met.count(False) > 500
+        assert goal_fails > 200 and start_fails > 200 and held > 1000
+
+    def test_one_search_per_agent_on_the_syn_deck(self, data_dir, monkeypatch):
+        # the 56 agents of the perfbench syn-dcrf-16 deck: one search each,
+        # plus one per crash set that meets the agent's route (a search per
+        # crash set made 400)
+        searches = 0
+        real = core.bfs_fill
+
+        def counted(*args):
+            nonlocal searches
+            searches += 1
+            return real(*args)
+
+        monkeypatch.setattr(core, "bfs_fill", counted)
+        g = parse_map((data_dir / "random-16-16-10.map").read_text())
+        for n in (6, 8):
+            for seed in range(4):
+                gen_well_formed(g, n, 1, seed)
+        assert searches <= 80
 
 
 class TestObservation:
