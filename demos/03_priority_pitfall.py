@@ -36,7 +36,7 @@ def main():
 
     d = solve_disjoint(inst)
     print(f"\ndisjoint planner: {d.status}")
-    for a, path in enumerate(d.paths):
+    for a, path in enumerate(d.initial_paths):
         print(f"    agent {a}: {path}")
 
     # Disjoint paths never interact, so the same plan holds for any f.

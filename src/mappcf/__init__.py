@@ -20,6 +20,7 @@ from .core import (
     Observation,
     Plan,
     Solution,
+    SolveResult,
     TransitionRule,
     bfs_distances,
     check_necessary,
@@ -29,8 +30,8 @@ from .core import (
     validate_instance,
     validate_solution,
 )
-from .dcrf import Crash, Effect, Event, SolveResult, SolverConfig, solve
-from .disjoint import DisjointResult, solve_disjoint
+from .dcrf import Crash, Effect, Event, SolverConfig, solve
+from .disjoint import solve_disjoint
 from .execution import RunResult, run, run_seq, run_syn
 from .gen import Fixture, GiveUp, fixture, gen_well_formed, sat_to_mappcf
 from .pathfind import find_path_seq, find_path_syn
@@ -48,7 +49,6 @@ __all__ = [
     "VACANT",
     "Counterexample",
     "Crash",
-    "DisjointResult",
     "Effect",
     "Event",
     "Fixture",

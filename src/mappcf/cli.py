@@ -53,8 +53,7 @@ def _read_priority(path) -> tuple:
 
 
 def _run_algo(inst: Instance, algo: str, cfg: SolverConfig):
-    """Run one solver; returns its result, which has the ``solution`` (or
-    None), ``status`` and ``runtime`` (in s) of both solvers.
+    """Run one solver and return its :class:`~mappcf.core.SolveResult`.
 
     ``disjoint`` reads only the model, detector and deadline of ``cfg``.
     """

@@ -241,6 +241,18 @@ def validate_instance(inst: Instance) -> list[str]:
     return out
 
 
+def check_solver_input(inst: Instance, model: str, fd: str) -> None:
+    """The entry check of both solvers: raise ValueError for an invalid
+    instance, an unknown model or an unknown failure detector."""
+    bad = validate_instance(inst)
+    if bad:
+        raise ValueError("invalid instance: " + "; ".join(bad))
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if fd not in DETECTORS:
+        raise ValueError(f"unknown failure detector {fd!r}")
+
+
 def cpu_deadline(deadline: "float | None") -> "float | None":
     """The ``time.process_time()`` reading at which a solve given
     ``deadline`` cpu-seconds runs out; None for no limit.
@@ -394,6 +406,44 @@ class Solution:
     plans: tuple[Plan, ...]
 
 
+@dataclass
+class SolveResult:
+    """What a solver returns, ``dcrf.solve`` and ``disjoint.solve_disjoint``
+    alike.
+
+    ``status`` is ``solved``, ``timeout`` or the solver's reason for giving
+    up: dcrf's ``init_paths`` or ``no_backup``, disjoint's ``infeasible``.
+    A solved result carries the plans in ``solution``; ``runtime`` is wall
+    time in seconds.
+
+    dcrf fills ``attempts`` and, from its last attempt, the primaries in
+    ``initial_paths`` and the resolved events in ``events``, in order;
+    after ``no_backup`` the last event is the one that found no backup
+    path, and a timeout carries neither. It leaves ``nodes`` and
+    ``pruned`` at 0.
+
+    disjoint puts the path tuple it found in ``initial_paths`` and wraps
+    it as rule-free plans. ``nodes`` counts expanded high-level nodes (0
+    when propagation refutes the root) and ``pruned`` the children that
+    must-visit propagation refuted before they were pushed (a child whose
+    branched agent has no path at all is not counted). It leaves
+    ``events`` empty and ``attempts`` at 0.
+    """
+
+    status: str
+    solution: "Solution | None" = None
+    events: tuple = ()
+    initial_paths: "tuple[Path, ...] | None" = None
+    attempts: int = 0
+    nodes: int = 0
+    pruned: int = 0
+    runtime: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "solved"
+
+
 def _path_violations(g: Graph, model: str, a: int, p: int, path: Path) -> list[str]:
     out = []
     tag = f"agent {a} path {p}"
@@ -415,15 +465,15 @@ def _path_violations(g: Graph, model: str, a: int, p: int, path: Path) -> list[s
     return out
 
 
-def validate_solution(inst: Instance, sol: Solution, strict: bool = True) -> list[str]:
+def validate_solution(inst: Instance, sol: Solution) -> list[str]:
     """Structural checks for a solution against its instance.
 
     Semantic guarantees (reaching goals under every crash pattern) are the
     verifier's job; this only rejects plans that are malformed on their face.
-    With ``strict=False`` the tidiness checks are skipped (unreferenced
-    backup paths, duplicate rule keys): such plans still execute
-    deterministically, and the verifier accepts them so that deliberately
-    damaged plans can be refuted rather than rejected.
+    A backup path that no rule targets, or a rule that repeats an earlier
+    rule's position, watch and trigger, is untidy but not malformed: the
+    plan still executes deterministically (the first matching rule fires),
+    so deliberately damaged plans can be refuted rather than rejected.
     """
     out: list[str] = []
     g = inst.graph
@@ -442,8 +492,6 @@ def validate_solution(inst: Instance, sol: Solution, strict: bool = True) -> lis
             out.extend(_path_violations(g, sol.model, a, p, path))
         if plan.paths[0] and plan.paths[0][0] != inst.starts[a]:
             out.append(f"agent {a}: primary path does not begin at its start")
-        targeted = set()
-        seen_keys = set()
         for r in plan.rules:
             rt = f"agent {a} rule {r.from_path}@{r.at_index}"
             if not (0 <= r.from_path < len(plan.paths)):
@@ -467,15 +515,6 @@ def validate_solution(inst: Instance, sol: Solution, strict: bool = True) -> lis
                     out.append(f"{rt}: trigger names unknown agent {r.trigger.agent}")
                 elif r.trigger.agent == a:
                     out.append(f"{rt}: trigger names the plan's own agent")
-            key = (r.from_path, r.at_index, r.watch, r.trigger)
-            if strict and key in seen_keys:
-                out.append(f"{rt}: duplicate rule key (same position, watch, trigger)")
-            seen_keys.add(key)
-            targeted.add(r.to_path)
-        if strict:
-            for p in range(1, len(plan.paths)):
-                if p not in targeted:
-                    out.append(f"agent {a}: path {p} is not the target of any rule")
     return out
 
 

@@ -65,7 +65,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import (
-    AFD,
     CRASHED_ANON,
     NFD,
     SEQ,
@@ -74,11 +73,12 @@ from .core import (
     Path,
     Plan,
     Solution,
+    SolveResult,
     TransitionRule,
+    check_solver_input,
     cpu_deadline,
     crashed,
     shared_vertices,
-    validate_instance,
     validate_solution,
     vertex_mask,
 )
@@ -171,24 +171,6 @@ class SolverConfig:
     seed: int = 0
     priority: "tuple[int, ...] | None" = None  # fixed order disables restarts
     initial_paths: "tuple[Path, ...] | None" = None  # forced primaries
-
-
-@dataclass
-class SolveResult:
-    """A solve's outcome. ``events`` are the resolved events of the last
-    attempt, in order; after ``no_backup`` the last of them is the event
-    that found no backup path."""
-
-    status: str  # "solved" | "init_paths" | "no_backup" | "timeout"
-    solution: "Solution | None" = None
-    events: "tuple[Event, ...]" = ()
-    initial_paths: "tuple[Path, ...] | None" = None
-    attempts: int = 0
-    runtime: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "solved"
 
 
 class SearchMemo:
@@ -695,13 +677,7 @@ def solve(inst: Instance, config: "SolverConfig | None" = None) -> SolveResult:
     returns what a fresh search would.
     """
     cfg = config if config is not None else SolverConfig()
-    bad = validate_instance(inst)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
-    if cfg.model not in (SYN, SEQ):
-        raise ValueError(f"unknown model {cfg.model!r}")
-    if cfg.fd not in (NFD, AFD):
-        raise ValueError(f"unknown failure detector {cfg.fd!r}")
+    check_solver_input(inst, cfg.model, cfg.fd)
     t0 = time.monotonic()
     deadline_at = cpu_deadline(cfg.deadline)
     n = inst.n_agents

@@ -46,50 +46,21 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
 
 from .core import (
-    DETECTORS,
-    MODELS,
     NFD,
     SYN,
     Instance,
     Path,
     Plan,
     Solution,
+    SolveResult,
+    check_solver_input,
     cpu_deadline,
     shared_vertices,
-    validate_instance,
     vertex_mask,
 )
 from .pathfind import find_path_seq, must_visit_mask
-
-
-@dataclass(frozen=True)
-class DisjointResult:
-    """Outcome of the disjoint baseline.
-
-    ``status`` is one of solved / infeasible / timeout. On success
-    ``paths`` holds one simple path per agent and ``solution`` wraps them
-    as rule-free plans so the verifier consumes both solvers uniformly.
-    ``nodes`` counts expanded high-level nodes and ``pruned`` the children
-    that must-visit propagation refuted before they were pushed (a child
-    whose branched agent has no path at all is not counted). ``nodes`` is
-    0 when propagation refutes the root; the search's memory grows with
-    ``nodes`` (per node figures are in the module docstring). ``runtime``
-    is wall time in seconds.
-    """
-
-    status: str
-    solution: "Solution | None" = None
-    paths: "tuple[Path, ...] | None" = None
-    nodes: int = 0
-    pruned: int = 0
-    runtime: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "solved"
 
 
 def _pick_conflict(sets, cuts):
@@ -145,7 +116,7 @@ def solve_disjoint(
     model: str = SYN,
     fd: str = NFD,
     deadline: "float | None" = 30.0,
-) -> DisjointResult:
+) -> SolveResult:
     """Best-first search for a minimum-total-length disjoint path tuple.
 
     The root forbids each agent the other agents' starts and goals and
@@ -167,23 +138,18 @@ def solve_disjoint(
     first (None for no limit; see :func:`~mappcf.core.cpu_deadline`, which
     rejects NaN and negative budgets).
     """
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError("; ".join(problems))
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    if fd not in DETECTORS:
-        raise ValueError(f"unknown failure detector {fd!r}")
+    check_solver_input(inst, model, fd)
     t0 = time.monotonic()
     deadline_at = cpu_deadline(deadline)
     n = inst.n_agents
     nodes = pruned = 0
 
-    def result(status: str, paths: "tuple[Path, ...] | None" = None) -> DisjointResult:
+    def result(status: str, paths: "tuple[Path, ...] | None" = None) -> SolveResult:
         sol = None
         if paths is not None:
             sol = Solution(model=model, fd=fd, plans=tuple(Plan(paths=(p,)) for p in paths))
-        return DisjointResult(status, sol, paths, nodes, pruned, time.monotonic() - t0)
+        return SolveResult(status, sol, initial_paths=paths, nodes=nodes, pruned=pruned,
+                           runtime=time.monotonic() - t0)
 
     def replan(a: int, forbidden: int, sets):
         # among shortest paths, steer away from the other agents' current

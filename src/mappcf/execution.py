@@ -79,10 +79,10 @@ def _trigger_code(fd: str, trigger) -> "int | None":
 
 
 def check_executable(inst: Instance, sol: Solution) -> None:
-    """Raise ``ValueError`` for a solution that fails the structure check
-    of ``validate_solution(strict=False)``: the check both runners and the
-    verifier make before they compile a plan."""
-    bad = validate_solution(inst, sol, strict=False)
+    """Raise ``ValueError`` for a solution that fails
+    ``validate_solution``: the check both runners and the verifier make
+    before they compile a plan."""
+    bad = validate_solution(inst, sol)
     if bad:
         raise ValueError("solution is not executable: " + "; ".join(bad))
 

@@ -64,7 +64,10 @@ def parse_map(text: str) -> Graph:
 
 
 def parse_scen(text: str, n: int, graph: Graph):
-    """First ``n`` scenario rows as (starts, goals) vertex tuples."""
+    """First ``n`` scenario rows as (starts, goals) vertex tuples; ``n``
+    must be at least 1."""
+    if n < 1:
+        raise ValueError(f"scenario needs at least 1 agent, got n={n}")
     if graph.coords is None:
         raise ValueError("scenario requires a graph with cell coordinates")
     index = {cell: i for i, cell in enumerate(graph.coords)}

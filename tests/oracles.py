@@ -255,6 +255,26 @@ def necessary_condition(graph, starts, goals, f):
     return tuple(goal_ok), tuple(start_ok), all(goal_ok) and all(start_ok)
 
 
+def untidy(sol):
+    """The tidiness faults of a solution, which ``validate_solution``
+    leaves alone because the plan still executes deterministically: a
+    backup path that no rule targets, and a rule that repeats an earlier
+    rule's (position, watch, trigger) key, which first match never fires.
+    Solver outputs have none; an empty list means tidy."""
+    out = []
+    for a, plan in enumerate(sol.plans):
+        seen = set()
+        for r in plan.rules:
+            key = (r.from_path, r.at_index, r.watch, r.trigger)
+            if key in seen:
+                out.append(f"agent {a} rule {r.from_path}@{r.at_index}: duplicate rule key")
+            seen.add(key)
+        targeted = {r.to_path for r in plan.rules}
+        out.extend(f"agent {a}: path {p} is not the target of any rule"
+                   for p in range(1, len(plan.paths)) if p not in targeted)
+    return out
+
+
 # --- reference stepping ----------------------------------------------------
 #
 # The per-agent stepping that ``mappcf.execution`` replaced with its

@@ -106,7 +106,7 @@ class TestCriteria:
 
         d = solve_disjoint(fx.instance)
         assert d.status == "solved"
-        assert d.paths == fx.disjoint_paths
+        assert d.initial_paths == fx.disjoint_paths
         for f in (0, 1, 2):
             inst_f = dataclasses.replace(fx.instance, f=f)
             assert verify_syn(inst_f, d.solution).status == "verified"

@@ -96,6 +96,15 @@ class TestSolveVerifyFlow:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: deadline must be None or a number >= 0")
 
+    @pytest.mark.parametrize(
+        "argv", [("solve",), ("solve", "--instance", "x.json", "--timeout", "abc")])
+    def test_flag_misuse_is_a_usage_error(self, capsys, argv):
+        # argparse exits 2 with its usage line before any subcommand runs
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: mappcf solve")
+
     def test_non_integer_priority_names_file_and_flag(self, tmp_path, capsys):
         inst = gen_fixture(tmp_path, "fig8")
         prio = tmp_path / "bad.priority.txt"
@@ -419,6 +428,22 @@ class TestGenRandomAndSat:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: --seed applies to sampled instances only, not to --scen\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_scen_with_n_below_1_is_an_error(self, tmp_path, capsys, n):
+        # with a negative n, the first n rows would be all but the last -n
+        (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))
+        g = fileio.parse_map((tmp_path / "m8.map").read_text())
+        pairs = [(0, g.n - 1), (1, g.n - 2), (2, g.n - 3)]
+        (tmp_path / "m8.scen").write_text(scen_text(g, pairs, "m8.map", 8, 8))
+        out = tmp_path / "inst.json"
+        code = run_cli(
+            "gen", "random", "--map", str(tmp_path / "m8.map"),
+            "--scen", str(tmp_path / "m8.scen"), "--n", n, "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: scenario needs at least 1 agent, got n={n}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("n, f", [("0", "1"), ("-1", "1"), ("2", "-1")])

@@ -32,7 +32,8 @@ from mappcf.core import (
 )
 from mappcf.fileio import parse_map
 from mappcf.gen import fixture, gen_well_formed, random_grid_map
-from oracles import necessary_condition
+from mappcf.verify import verify
+from oracles import necessary_condition, untidy
 
 
 def path_graph(k):
@@ -280,6 +281,7 @@ class TestSolutionValidation:
             fx = fixture(name)
             for sol in fx.solutions:
                 assert validate_solution(fx.instance, sol) == [], name
+                assert untidy(sol) == [], name
 
     def test_backup_must_start_at_switch_vertex(self):
         fx = fixture("fig1")
@@ -308,15 +310,29 @@ class TestSolutionValidation:
         bad = dataclasses.replace(sol, plans=tuple(plans))
         assert validate_solution(fx.instance, bad)
 
-    def test_strict_flags_duplicate_rule_keys(self):
+    def test_duplicate_rule_keys_are_untidy_not_malformed(self):
         fx = fixture("fig1")
         sol = fx.solutions[0]
         plans = list(sol.plans)
         rules = plans[1].rules
         plans[1] = dataclasses.replace(plans[1], rules=rules + (rules[0],))
         bad = dataclasses.replace(sol, plans=tuple(plans))
-        assert validate_solution(fx.instance, bad, strict=True)
-        assert validate_solution(fx.instance, bad, strict=False) == []
+        assert any("duplicate rule key" in p for p in untidy(bad))
+        assert validate_solution(fx.instance, bad) == []
+
+    def test_untargeted_backup_is_untidy_not_malformed(self):
+        # an extra path that no rule switches to is never entered, so the
+        # plan still runs and verifies as before
+        fx = fixture("fig1")
+        sol = fx.solutions[0]
+        plans = list(sol.plans)
+        plans[1] = dataclasses.replace(plans[1], paths=plans[1].paths + (plans[1].primary,))
+        bad = dataclasses.replace(sol, plans=tuple(plans))
+        assert untidy(sol) == []
+        extra = len(plans[1].paths) - 1
+        assert untidy(bad) == [f"agent 1: path {extra} is not the target of any rule"]
+        assert validate_solution(fx.instance, bad) == []
+        assert verify(fx.instance, bad).status == verify(fx.instance, sol).status == "verified"
 
     def test_seq_paths_reject_waits(self):
         fx = fixture("fig1")

@@ -14,6 +14,7 @@ from mappcf.gen import (
     random_grid_map,
     sat_to_mappcf,
 )
+from oracles import untidy
 
 
 class TestGridGraph:
@@ -155,6 +156,7 @@ class TestFixtures:
             assert validate_instance(fx.instance) == [], name
             for sol in fx.solutions:
                 assert validate_solution(fx.instance, sol) == [], name
+                assert untidy(sol) == [], name
 
     def test_incompleteness_fixture_extras(self):
         fx = fixture("fig8")
