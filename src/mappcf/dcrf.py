@@ -177,11 +177,11 @@ class SearchMemo:
     """Search results of one solve, keyed by their exact input.
 
     In ``found``, a ``find_path_syn`` key is ``(agent, start, start time,
-    blocked, penalize, timed)``. The agent fixes the goal; the graph and
-    ``f`` are the instance's. ``timed`` is the frozenset of ``(path,
-    entry)`` pairs the reservations are built from. With ``penalize`` the
-    penalty set is the vertices of those paths, so it needs no place of its
-    own in the key.
+    blocked, penalize, timed)``. The agent fixes the goal; the graph is
+    the instance's. ``timed`` is the frozenset of ``(path, entry)`` pairs
+    the reservations are built from. With ``penalize`` the penalty set is
+    the vertices of those paths, so it needs no place of its own in the
+    key.
     A ``find_path_seq`` key is ``(agent, forbidden mask)``: the agent
     fixes the start as well, and a seq search takes no start time, blocked
     set or penalty. One solve uses one model, so the two kinds of key never
@@ -260,7 +260,7 @@ class Planner:
         to_goal = self.memo.to_goal.get(goal)
         if to_goal is None:
             to_goal = self.memo.to_goal[goal] = goal_distances(inst.graph, goal)
-        path = find_path_syn(inst.graph, start, goal, t0, inst.f, blocked=blocked,
+        path = find_path_syn(inst.graph, start, goal, t0, blocked=blocked,
                              reservations=res, penalty=penalty, to_goal=to_goal)
         found[key] = path
         return path

@@ -9,10 +9,8 @@ with arrival bound ``B`` keeps a vertex at time ``t`` only if the goal is
 at most ``B - t`` hops away, which drops no vertex of a path arriving by
 ``B``, so the answer is that of the unbounded search. The bound starts at
 the earliest conceivable arrival and is widened a few times; the last
-try is unbounded. That try, when no path exists, stops as soon as the
-set of reachable vertices repeats after the last reservation: from then
-on every step is the same, so the set, and the verdict, would repeat up
-to the horizon.
+try has no bound and stops at its own fixpoint, the first layer after
+the last reservation that repeats (see :func:`find_path_syn`).
 ``find_path_seq`` finds the shortest simple path avoiding a forbidden
 vertex set, with the same tie-breaks, from a single BFS toward the goal:
 a step stays on a shortest path exactly when it lowers the distance to
@@ -37,6 +35,8 @@ a caller that reserves one path in many searches can build once.
 """
 
 from __future__ import annotations
+
+import math
 
 from .core import Graph, Path, bfs_distances, bfs_fill, mask_vertices
 
@@ -147,9 +147,9 @@ class Reservations:
         )
 
 
-# Arrival slacks, over the goal distance, of the bounded tries of
-# ``find_path_syn``; one unbounded try follows them.
-SLACKS = (0, 4, 16)
+# Arrival slacks, over the goal distance, of the tries of ``find_path_syn``;
+# the last try has no bound.
+SLACKS = (0, 4, 16, math.inf)
 
 
 def goal_distances(graph: Graph, goal: int, blocked=frozenset(), stop: int = -1) -> list[int]:
@@ -171,7 +171,6 @@ def find_path_syn(
     start: int,
     goal: int,
     start_time: int = 1,
-    f: int = 0,
     *,
     blocked: frozenset = frozenset(),
     reservations: "Reservations | None" = None,
@@ -184,13 +183,12 @@ def find_path_syn(
     consecutive repeats are waits. The goal must be free of reservations
     forever from the arrival time on (the agent sits there once arrived).
     Ties broken by (fewest penalized entries, lexicographically smallest
-    vertex sequence). Returns a tuple, or None if no path exists within the
-    search horizon ``|V| + latest reservation time + f*|V|``. ``blocked``
-    vertices are unusable at every time; ``reservations`` holds the timed
-    paths to stay collision-free against; entering a ``penalty`` vertex
-    costs a tie-break point, waiting on it does not cost again.
-    ``to_goal`` is ``goal_distances(graph, goal)``, computed here when
-    not given.
+    vertex sequence). Returns a tuple, or None if no such path exists.
+    ``blocked`` vertices are unusable at every time; ``reservations``
+    holds the timed paths to stay collision-free against; entering a
+    ``penalty`` vertex costs a tie-break point, waiting on it does not cost
+    again. ``to_goal`` is ``goal_distances(graph, goal)``, computed here
+    when not given.
 
     Phase 1 grows the layer of vertices reachable at each time, one set
     expression per step, until the goal is acceptable. It is bounded by
@@ -199,46 +197,44 @@ def find_path_syn(
     while ``t + to_goal[v] <= B``, as a path that arrives by ``B`` can
     pass nowhere else. The first try's bound is the earliest conceivable
     arrival, ``start_time + to_goal[start]``; a try that fails is redone
-    with the larger slacks of ``SLACKS``. The answer is the unbounded
-    one: every ``(v, k)`` on a path arriving at the true arrival ``T``
-    has ``k + to_goal[v] <= T``, so once a try's bound reaches ``T`` its
+    with the next slack of ``SLACKS``. The answer is the unbounded one:
+    every ``(v, k)`` on a path arriving at the true arrival ``T`` has
+    ``k + to_goal[v] <= T``, so once a try's bound reaches ``T`` its
     layers hold every vertex of such a path, it meets the goal at ``T``
     as the unbounded layers do and not before, and phase 2 below, which
-    only visits vertices of such paths, makes the same choices. A try
-    whose bound reaches the horizon is decisive.
+    only visits vertices of such paths, makes the same choices.
 
     A goal that is blocked, parked on for good or out of reach of the
-    start is refused up front. A failed bounded try only says that the
-    goal is not reached by its bound, so the last try is unbounded, which
-    can tell that the goal is never reached without walking to the
-    horizon. It gives up, with the answer the horizon would give, once
+    start is refused up front. Otherwise the last slack is infinite: that
+    try keeps every vertex whose goal distance is finite, and it alone
+    decides that the goal is never reached. It gives up once
     ``t > max_time`` and the next layer equals the current one. From then
     on the step from one layer to the next is the same function at every
     time: nothing is held by time after ``max_time``, no hop starts at or
-    after it, and every parked vertex is parked for good. Whether the
-    goal is acceptable no longer depends on the time either, since
-    ``free_forever(goal, t)`` only asks whether the goal is parked once
-    ``t`` exceeds every timed hold. So a layer that repeats repeats
-    forever, and the goal is never reached. (Layers only grow then, as
-    waiting keeps every vertex.) The guard on ``max_time`` matters:
-    before it, a layer can stay the same for many rounds while another
-    agent holds a bridge, and then grow. Bounded layers are not monotone
-    after ``max_time`` (they shrink toward their bound), so the test is
-    made on unbounded layers only. Before the unbounded try, one
-    breadth-first search checks that the goal is reachable at all once
-    ``blocked`` is taken out.
+    after it, and every parked vertex is parked for good. The step keeps
+    every vertex of the layer, as waiting on it stays allowed, so the
+    layers only grow, and they meet the goal or repeat within ``|V|``
+    rounds. Whether the goal is acceptable no longer depends on the time
+    either, since ``free_forever(goal, t)`` only asks whether the goal is
+    parked once ``t`` exceeds every timed hold. So a layer that repeats
+    repeats forever, and the goal is never reached. The guard on
+    ``max_time`` matters: before it, a layer can stay the same for many
+    rounds while another agent holds a bridge, and then grow. Bounded
+    layers shrink toward their bound after ``max_time``, so only the
+    unbounded try stops on a repeat.
 
     Phase 2 counts, backward over the layers, the fewest penalized entries
     on a completion from each vertex, visiting only the vertices that can
     still step into the next layer's completions, and keeps for each the
-    smallest vertex it can step to with that count. Phase 3 follows those
-    steps from the start.
+    smallest vertex it can step to with that count. Phase 1 keeps a vertex
+    only when some vertex of the layer before steps into it without a
+    head-on swap, so every layer holds a vertex with a completion, and
+    the first layer holds the start alone. Phase 3 follows those steps
+    from the start.
     """
     res = reservations if reservations is not None else Reservations()
-    if start in blocked or res.blocked_at(start, start_time):
-        return None
-    horizon = graph.n + res.max_time + f * graph.n
-    if start_time > horizon or goal in blocked or goal in res._forever:
+    if (start in blocked or res.blocked_at(start, start_time)
+            or goal in blocked or goal in res._forever):
         return None
     dist = to_goal if to_goal is not None else goal_distances(graph, goal)
     if dist[start] < 0:
@@ -246,15 +242,11 @@ def find_path_syn(
     adj = graph.adj
     pred = graph.reverse.adj
     for slack in SLACKS:
-        bound = start_time + dist[start] + slack
         layers = _grow(adj, pred, start, goal, start_time, res, blocked,
-                       min(bound, horizon), dist)
-        if layers is not None or bound >= horizon:
+                       start_time + dist[start] + slack, dist)
+        if layers is not None:
             break
     else:
-        if goal_distances(graph, goal, blocked, stop=start)[start] >= 0:
-            layers = _grow(adj, pred, start, goal, start_time, res, blocked, horizon, None)
-    if layers is None:
         return None
     arrival_k = len(layers) - 1
     moves = res._moves
@@ -278,8 +270,6 @@ def find_path_syn(
                     best, to = c, w
             if best is not None:
                 cost[kk][u], step[kk][u] = best, to
-    if start not in cost[0]:
-        return None
 
     # Phase 3: follow the chosen steps from the start.
     out = [start]
@@ -292,10 +282,10 @@ def _grow(adj, pred, start, goal, start_time, res, blocked, bound, dist):
     """Phase 1 of :func:`find_path_syn`: the layers from ``start_time`` up
     to the goal's arrival, or None if it does not arrive by ``bound``.
 
-    With a ``dist`` table the layers keep only the vertices ``v`` that can
-    still make the bound, ``t + dist[v] <= bound``; with None they are
-    complete, and a layer that repeats after ``res.max_time`` ends the
-    search.
+    The layers keep only the vertices ``v`` that can still make the bound,
+    ``t + dist[v] <= bound``. An infinite ``bound`` keeps every vertex
+    whose goal distance is finite, and a layer that repeats after
+    ``res.max_time`` ends that search.
     """
     occupied, moves = res._occupied, res._moves
     # vertices parked for good, released into ``parked`` as time passes
@@ -313,11 +303,8 @@ def _grow(adj, pred, start, goal, start_time, res, blocked, bound, dist):
         while next_park < len(parks) and parks[next_park][0] <= t + 1:
             parked.add(parks[next_park][1])
             next_park += 1
-        if dist is None:
-            nxt = cur.union(*[adj[u] for u in cur])
-        else:
-            slack = bound - t - 1
-            nxt = {w for u in cur for w in (u, *adj[u]) if 0 <= dist[w] <= slack}
+        slack = bound - t - 1
+        nxt = {w for u in cur for w in (u, *adj[u]) if 0 <= dist[w] <= slack}
         nxt.difference_update(blocked, parked, occupied.get(t + 1, ()))
         hops = moves.get(t, ())
         for p, q in hops:
@@ -328,7 +315,7 @@ def _grow(adj, pred, start, goal, start_time, res, blocked, bound, dist):
                 u in cur and (p, u) not in hops for u in pred[p]
             ):
                 nxt.discard(p)
-        if not nxt or (dist is None and t > res.max_time and nxt == cur):
+        if not nxt or (bound == math.inf and t > res.max_time and nxt == cur):
             return None
         layers.append(nxt)
         t += 1

@@ -636,11 +636,10 @@ def _fair_livelock(status, ids, states, edges) -> "Counterexample | None":
         if not any(di in comp_set for si in comp for di in act_adj[si]):
             continue
         # activations never make a done agent correct again, so the
-        # unfinished correct agents are the same all over the component
+        # unfinished correct agents are the same all over the component,
+        # and an activation leaves only a state that has one
         cfg, _budget = states[comp[0]]
         pending = tuple(a for a, c in zip(ids, cfg) if status[c] == CORRECT_ST)
-        if not pending:
-            continue
         inner = {si: [(di, action) for di, action in edges[si]
                       if action[0] == "activate" and di in comp_set] for si in comp}
         covered = {}  # agent -> an activation of it inside the component

@@ -111,7 +111,7 @@ def brute_sat(clauses):
 
 
 def best_timed_walk(graph, start, goal, reserved=(), blocked=frozenset(),
-                    penalty=frozenset(), start_time=1, f=0):
+                    penalty=frozenset(), start_time=1):
     """The timed walk ``find_path_syn`` must return, by exhaustive search.
 
     ``reserved`` lists ``(path, t0)`` pairs: another agent is at ``path[k]``
@@ -120,16 +120,29 @@ def best_timed_walk(graph, start, goal, reserved=(), blocked=frozenset(),
     or follows an edge. It may never share a vertex with another agent at
     the same time, never enter a blocked vertex, and never cross another
     agent head-on along an edge. It must end on the goal at a time from
-    which no other agent ever touches the goal again, no later than the
-    horizon ``|V| + latest reserved time + f*|V|``.
+    which no other agent ever touches the goal again.
 
     A breadth-first search over (vertex, time) states finds the earliest
-    such arrival. A depth-first search then lists the walks of exactly that
+    such arrival. It stops at time ``T0 + |V|``, where ``T0`` is the later
+    of the start time and the round after the last reserved time, and no
+    arrival comes later. From ``T0`` on no vertex is held by time and no
+    one moves, so whether a vertex is free, and whether the goal is
+    settled, no longer depends on the time; a free vertex reached stays
+    reached by waiting. The set of vertices reached at each time from
+    ``T0`` on thus only grows, and the same set one round later means the
+    same set for good. It holds one vertex at least at ``T0`` (or the
+    search is over), so it grows at most ``|V| - 1`` times and is final
+    by ``T0 + |V| - 1``: a goal reached at all is reached by then.
+
+    A depth-first search then lists the walks of the earliest arrival's
     length in lexicographic order and keeps the one entering the fewest
     penalized vertices (waiting on one does not count again). It skips
-    states from which the goal is out of reach by the arrival time and
-    prefixes whose penalty already matches the best walk found, since
-    neither can yield a better walk. Returns a tuple or None.
+    states from which the goal is out of reach by the arrival time,
+    prefixes whose penalty already matches the best walk found, and states
+    already walked on from after a prefix of no higher penalty, since none
+    of them can yield a better walk: the last ones' completions were all
+    tried, and here they come later in the order at no lower penalty.
+    Returns a tuple or None.
     """
     held, parked, hops = {}, {}, set()
     last = 0
@@ -154,8 +167,8 @@ def best_timed_walk(graph, start, goal, reserved=(), blocked=frozenset(),
         return (goal not in blocked and goal not in parked
                 and all(goal not in vs for s, vs in held.items() if s >= t))
 
-    horizon = graph.n + last + f * graph.n
-    if start_time > horizon or not free(start, start_time):
+    stop = max(start_time, last + 1) + graph.n
+    if not free(start, start_time):
         return None
     seen = {(start, start_time)}
     frontier = [(start, start_time)]
@@ -166,7 +179,7 @@ def best_timed_walk(graph, start, goal, reserved=(), blocked=frozenset(),
             if v == goal and settled(t):
                 arrival = t
                 break
-            if t < horizon:
+            if t < stop:
                 for w in moves(v, t):
                     if (w, t + 1) not in seen:
                         seen.add((w, t + 1))
@@ -181,10 +194,14 @@ def best_timed_walk(graph, start, goal, reserved=(), blocked=frozenset(),
             if (v, t) in seen and any((w, t + 1) in alive for w in moves(v, t)):
                 alive.add((v, t))
     best = []
+    walked = {}  # (v, t) -> the least prefix penalty it was walked on from
 
     def extend(walk, t, cost):
         if best and cost >= best[0]:
             return
+        if walked.get((walk[-1], t), cost + 1) <= cost:
+            return
+        walked[(walk[-1], t)] = cost
         if t == arrival:
             best[:] = [cost, tuple(walk)]
             return

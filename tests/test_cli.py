@@ -548,6 +548,18 @@ class TestBench:
         assert capsys.readouterr().err.startswith(f"error: bench config: {named}")
         assert not out.exists()
 
+    def test_undrawable_instance_is_a_giveup_row(self, tmp_path):
+        # a crash budget above the agent count draws no instance
+        (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, n=[1], f=[2], algos=["dcrf"], seeds=[0])))
+        out = tmp_path / "results.csv"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 0
+        [row] = fileio.read_results(out)
+        assert (row["instance_id"], row["outcome"], row["failure_reason"]) == (
+            "m8-n1-f2-s0", "failure", "giveup")
+        assert (row["runtime_ms"], row["cost_normalized"]) == ("0", "")
+
     def test_unknown_config_key_is_an_error(self, tmp_path):
         (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))
         config = dict(self.CONFIG, model=["seq"])  # typo for "models"

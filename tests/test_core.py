@@ -163,6 +163,14 @@ class TestInstanceValidation:
         inst = Instance(graph=g, starts=(0, 9), goals=(3, 2), f=0)
         assert validate_instance(inst)
 
+    def test_no_agents(self):
+        inst = Instance(graph=path_graph(4), starts=(), goals=(), f=0)
+        assert validate_instance(inst) == ["at least one agent required"]
+
+    def test_duplicate_goals(self):
+        inst = Instance(graph=path_graph(4), starts=(0, 1), goals=(3, 3), f=1)
+        assert validate_instance(inst) == ["goals are not pairwise distinct"]
+
 
 class TestNecessaryCondition:
     def test_two_corridor_instance_passes(self):

@@ -474,7 +474,7 @@ class TestSearchMemo:
             for p, e in timed:
                 res.add(Timing(p, e))
             penalty = frozenset(v for p, _e in timed for v in p) if penalize else frozenset()
-            assert got == find_path_syn(g, start, inst.goals[a], t0, inst.f, blocked=blocked,
+            assert got == find_path_syn(g, start, inst.goals[a], t0, blocked=blocked,
                                         reservations=res, penalty=penalty)
             outcomes.add(got)
         assert len(planner.memo.found) < 1500 and len(outcomes) > 10 and None in outcomes

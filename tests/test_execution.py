@@ -138,6 +138,15 @@ class TestRunSeq:
         switches = [ln for ln in r.trace.lines if " switch " in ln]
         assert switches == ["[#2] switch agent=1 path=0@1 watch=0 saw=crashed to=1"]
 
+    def test_crash_beyond_the_budget_is_noted(self, fig1):
+        # fig1 has f=1; the run goes on past the budget and notes the excess
+        inst, _, seq = fig1
+        r = run_seq(inst, seq, [("activate", 1), ("crash", 0), ("crash", 1)])
+        assert r.outcome == "arrived" and r.stuck_agents == ()
+        assert [st.status for st in r.states] == ["crashed", "crashed"]
+        warnings = [ln for ln in r.trace.lines if "warning" in ln]
+        assert warnings == ["[#3] warning: crash count 2 exceeds budget f=1"]
+
     def test_early_activation_fires_nothing(self, fig1):
         # j looks while i still sits on 0: neither rule matches, j stays
         inst, _, seq = fig1

@@ -3,9 +3,11 @@
 import dataclasses
 
 import pytest
+import test_verify
 
 from mappcf.core import CORRECT, CRASHED_ANON, VACANT, crashed
 from mappcf import fileio
+from mappcf.execution import run_seq
 from mappcf.gen import fixture, grid_graph, random_grid_map
 from mappcf.verify import verify_seq, verify_syn
 
@@ -165,6 +167,17 @@ class TestWitnessDocs:
         doc = fileio.counterexample_to_doc(ce)
         assert doc["failure"] == "unreachable_goal"
         assert doc["schedule"] == []
+
+    def test_livelock_witness_shape(self):
+        inst, sol = test_verify.TestFairLivelock().build(with_shuttle=True)
+        ce = verify_seq(inst, sol, f=0).counterexample
+        doc = fileio.counterexample_to_doc(ce)
+        assert doc["failure"] == "livelock" and doc["cycle"]
+        assert doc["schedule"] == [[op, a] for op, a in ce.schedule]
+        assert doc["cycle"] == [[op, a] for op, a in ce.cycle]
+        # the document's prefix and a few laps of its cycle finish no one
+        r = run_seq(inst, sol, doc["schedule"] + doc["cycle"] * 3)
+        assert r.outcome == "stuck"
 
 
 class TestResultsCsv:
