@@ -131,24 +131,20 @@ class Event:
                 f" round={','.join(str(c.when) for c in cands)}")
 
 
-def _coexists(alt_a: frozenset, alt_b: frozenset, f: int) -> bool:
-    """True if two crash-assumption sets can belong to one execution.
+def _consistent(crashes) -> bool:
+    """True if no agent is assumed crashed twice: the crashes name distinct
+    agents."""
+    return len({c.agent for c in crashes}) == len(crashes)
 
-    They cannot when some agent is assumed crashed in two different
-    places/rounds across the union, or when the union needs more than
-    ``f`` crashes. Pairs of paths whose assumptions cannot coexist never
-    co-execute, so no events are generated between them.
+
+def _coexists(alt_a: frozenset, alt_b: frozenset, f: int) -> bool:
+    """True if two crash-assumption sets can belong to one execution: their
+    union needs at most ``f`` crashes and is consistent. Pairs of paths
+    whose assumptions cannot coexist never co-execute, so no events are
+    generated between them.
     """
     union = alt_a | alt_b
-    if len(union) > f:
-        return False
-    by_agent: dict[int, Crash] = {}
-    for c in union:
-        prev = by_agent.get(c.agent)
-        if prev is not None and prev != c:
-            return False
-        by_agent[c.agent] = c
-    return True
+    return len(union) <= f and _consistent(union)
 
 
 class Timeout(Exception):
@@ -223,8 +219,8 @@ class Planner:
         self.entry: list[list[int]] = [[] for _ in range(n)]
         # per path: None for primaries, else the slot (path, index) of its rule
         self.parent: list[list] = [[] for _ in range(n)]
-        # per path: its crash alternatives, the crash sets it may run under
-        self.alts: list[list[tuple[frozenset, ...]]] = [[] for _ in range(n)]
+        # per path: its crash alternatives, the set of crash sets it may run under
+        self.alts: list[list[frozenset]] = [[] for _ in range(n)]
         # per agent: slot (path, 1-based index) -> the rules parked there, in firing order
         self.slots: list[dict] = [{} for _ in range(n)]
         self.queue: list = []
@@ -278,16 +274,12 @@ class Planner:
             res.add(self._timing(p, e))
         return res
 
-    def _probe_alts(self, a: int, p: int, cands) -> "tuple[frozenset, ...]":
-        """Alternatives of a's path p, each extended by one crash candidate
-        that does not contradict it."""
-        out = set()
-        for alt in self.alts[a][p]:
-            for c in cands:
-                if any(c2.agent == c.agent and c2 != c for c2 in alt):
-                    continue
-                out.add(alt | {c})
-        return tuple(sorted(out, key=sorted))
+    def _probe_alts(self, a: int, p: int, cands) -> frozenset:
+        """Alternatives of a's path p, each extended by one crash candidate,
+        kept when consistent (see :func:`_consistent`; every stored
+        alternative is, so only the candidate can contradict it)."""
+        return frozenset(filter(_consistent, (alt | {c} for alt in self.alts[a][p]
+                                              for c in cands)))
 
     def _compatible(self, alts_a, a: int, b: int, pb: int) -> bool:
         """Can agent a, under crash alternatives ``alts_a``, and agent b's
@@ -326,8 +318,6 @@ class Planner:
         :func:`~mappcf.core.validate_solution`) from its agent's start to
         its goal, and, under seq, unless they are vertex-disjoint."""
         inst, cfg = self.inst, self.cfg
-        if len(paths) != inst.n_agents:
-            raise ValueError("one forced path per agent required")
         plans = tuple(Plan((tuple(p),)) for p in paths)
         bad = validate_solution(inst, Solution(cfg.model, cfg.fd, plans))
         if bad:
@@ -354,7 +344,7 @@ class Planner:
             self.paths[a] = [tuple(p)]
             self.entry[a] = [1]
             self.parent[a] = [None]
-            self.alts[a] = [(frozenset(),)]
+            self.alts[a] = [frozenset({frozenset()})]
             self.slots[a] = {}
 
     def get_initial_plans(self, order=None) -> bool:
@@ -613,10 +603,10 @@ class Planner:
         events pop in nondecreasing round order."""
         slot_path, _idx = self.parent[a][target]
         old = self.alts[a][target]
-        alts = set(old).union(self._probe_alts(a, slot_path, cands))
-        if len(alts) == len(old):
+        alts = old | self._probe_alts(a, slot_path, cands)
+        if alts == old:
             return
-        alts = self.alts[a][target] = tuple(sorted(alts, key=sorted))
+        self.alts[a][target] = alts
         res = self._reserved((self.paths[b][pb], self.entry[b][pb])
                              for b, pb in self._coexisting(a, alts))
         if not res.admits(self._timing(self.paths[a][target], self.entry[a][target])):

@@ -94,8 +94,8 @@ class Compiled:
     code (see the module docstring): ``vertex``, ``status`` (the status
     string), ``seen`` (the observation code other agents get of it),
     ``step`` (the code one step further along its path, the code itself at
-    the path's end, -1 unless the code is correct), ``crash`` (-1 if
-    already crashed), ``arrive`` (the done code at the goal end of a path,
+    the path's end, -1 unless the code is correct), ``crash`` (-1 for a
+    crashed code), ``arrive`` (the done code at the goal end of a path,
     else the code itself), ``rules`` and ``watched`` (bit v set when a rule
     parked at the code watches vertex v). The solution must pass
     :func:`check_executable`.
@@ -184,20 +184,15 @@ def step_syn(cp: Compiled, cfg, crash_now=(), trace=None):
     """One synchronous round from configuration ``cfg``; returns (next
     configuration, collision or None).
 
-    The agents in ``crash_now`` crash first (``ValueError`` for one that
-    already has). On a collision the configuration is returned as the
-    agents moved, before anyone is marked done.
+    The agents in ``crash_now`` crash first, through :func:`crash_seq` in
+    id order (``ValueError`` for one that already has). On a collision the
+    configuration is returned as the agents moved, before anyone is marked
+    done.
     """
     vertex, step, rules = cp.vertex, cp.step, cp.rules
     if crash_now:
-        cfg = list(cfg)
         for a in sorted(crash_now):
-            c = cp.crash[cfg[a]]
-            if c < 0:
-                raise ValueError(f"agent {a} is already crashed")
-            cfg[a] = c
-            if trace is not None:
-                trace.note(f"crash agent={a} at={vertex[c]}")
+            cfg = crash_seq(cp, cfg, a, trace)
     out = list(cfg)
     occ = None  # rules see the configuration after the crashes
     moved = []

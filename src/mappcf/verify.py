@@ -338,8 +338,10 @@ def _state_graph(init, moves, state_cap: int):
     and ``edges[i]`` lists (dest, action) in the order ``moves`` yields
     them. Returns (states, edges, fault step): the build stops at the first
     faulty step and returns it as (source, action, fault), else None. More
-    than ``state_cap`` states raise ``_TooLarge``.
+    than ``state_cap`` states, ``init`` among them, raise ``_TooLarge``.
     """
+    if state_cap < 1:
+        raise _TooLarge(1)
     index = {init: 0}
     states = [init]
     edges: list[list] = [[]]
@@ -553,25 +555,24 @@ def _explore_seq(cp: Compiled, ids, budget0: int, state_cap: int):
     states, edges, _ = _state_graph((tuple(cp.init[a] for a in ids), budget0), moves, state_cap)
     n_states = len(states)
 
-    # (a) an unfinished correct agent that can never finish again
+    # (a) an unfinished correct agent that can never finish again: can[si]
+    # holds the agents done in some state reachable from state si, found by
+    # one backward propagation over all agents at once
     rev: list[list[int]] = [[] for _ in range(n_states)]
     for si, outs in enumerate(edges):
         for di, _ in outs:
             rev[di].append(si)
+    can = [sum(1 << x for x, c in enumerate(cfg) if status[c] == DONE_ST) for cfg, _ in states]
+    stack = [si for si in range(n_states) if can[si]]
+    while stack:
+        si = stack.pop()
+        for pi in rev[si]:
+            if can[si] & ~can[pi]:
+                can[pi] |= can[si]
+                stack.append(pi)
     for x in range(len(ids)):
-        good = [si for si, (cfg, _) in enumerate(states) if status[cfg[x]] == DONE_ST]
-        can = [False] * n_states
-        stack = list(good)
-        for si in good:
-            can[si] = True
-        while stack:
-            si = stack.pop()
-            for pi in rev[si]:
-                if not can[pi]:
-                    can[pi] = True
-                    stack.append(pi)
         for si, (cfg, _) in enumerate(states):
-            if status[cfg[x]] == CORRECT_ST and not can[si]:
+            if status[cfg[x]] == CORRECT_ST and not can[si] >> x & 1:
                 return n_states, Counterexample(
                     "unreachable_goal",
                     agents=(ids[x],),

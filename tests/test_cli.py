@@ -115,6 +115,16 @@ class TestSolveVerifyFlow:
         err = capsys.readouterr().err
         assert err == f"error: --priority {prio}: agent ids must be integers, got 'x'\n"
 
+    def test_priority_that_is_not_a_permutation_is_an_error(self, tmp_path, capsys):
+        inst = gen_fixture(tmp_path, "fig8")
+        prio = tmp_path / "bad.priority.txt"
+        prio.write_text("0 0 1\n")
+        capsys.readouterr()
+        code = run_cli("solve", "--instance", str(inst), "--priority", str(prio))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: priority must be a permutation of the agent ids\n"
+
     def test_priority_with_disjoint_is_an_error(self, tmp_path, capsys):
         inst = gen_fixture(tmp_path, "fig8")
         prio = tmp_path / "fig8.instance.priority.txt"
@@ -219,10 +229,20 @@ class TestSolveVerifyFlow:
         ("solution", lambda d: d["plans"][1]["rules"].__setitem__(0, 5), "rule 0: not an object"),
         ("solution", lambda d: d["plans"][1]["rules"][0].update(watch=True),
          "rule 0: field 'watch' has wrong type"),
+        ("instance", lambda d: d.pop("f"), "missing field 'f'"),
+        ("instance", lambda d: d.update(graph={"map": "absent.map"}), "absent.map not found"),
+        ("instance", lambda d: d.update(f=5), "crash budget f=5 exceeds number of agents"),
+        ("solution", lambda d: d["plans"][1]["rules"][0].update(trigger=[]),
+         "rule 0: trigger must be a 1- or 2-element list"),
+        ("solution", lambda d: d["plans"][1]["rules"][0].update(trigger=["exploded"]),
+         "rule 0: unknown observation kind 'exploded'"),
+        ("solution", lambda d: d.update(kind="instance"), "missing kind='solution'"),
+        ("solution", lambda d: d["plans"].__setitem__(0, 5), "plan 0: not an object"),
     ], ids=["start-str", "goal-bool", "edge-str", "edge-triple", "coord-float", "directed-str",
-            "map-int", "path-str", "rules-int", "rule-int", "watch-bool"])
+            "map-int", "path-str", "rules-int", "rule-int", "watch-bool", "no-f", "map-absent",
+            "f-above-agents", "trigger-empty", "trigger-kind", "solution-kind", "plan-int"])
     def test_malformed_document_is_an_error(self, tmp_path, capsys, doc, damage, named):
-        # a wrongly typed vertex id or entry is a data error (exit 1), not a traceback
+        # a malformed or wrongly typed document is a data error (exit 1), not a traceback
         inst = gen_fixture(tmp_path, "fig1")
         ref = tmp_path / "fig1.instance.ref-syn-afd.json"
         bad = tmp_path / "bad.json"
@@ -332,6 +352,40 @@ class TestSimulate:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: --schedule {sched}: agent ids must be integers, got 'x'\n"
+
+    @pytest.mark.parametrize("lines, message", [
+        ("activate 0\njump 0\n", "line must be 'activate A' or 'crash A': 'jump 0'"),
+        ("crash 0\ncrash 0\n", "agent 0 is already crashed"),
+    ], ids=["unknown-action", "crash-twice"])
+    def test_bad_schedule_is_an_error(self, tmp_path, capsys, lines, message):
+        inst = gen_fixture(tmp_path, "fig1")
+        ref = tmp_path / "fig1.instance.ref-seq-afd.json"
+        sched = tmp_path / "sched.txt"
+        sched.write_text(lines)
+        capsys.readouterr()
+        code = run_cli(
+            "simulate", "--instance", str(inst), "--solution", str(ref),
+            "--schedule", str(sched),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("ref, schedule, message", [
+        ("seq", False, "sequential solutions need --schedule FILE"),
+        ("syn", True, "synchronous solutions take --crash, not --schedule"),
+    ], ids=["seq-without", "syn-with"])
+    def test_schedule_flag_misuse_is_an_error(self, tmp_path, capsys, ref, schedule, message):
+        inst = gen_fixture(tmp_path, "fig1")
+        sched = tmp_path / "sched.txt"
+        sched.write_text("activate 1\n")
+        flags = ["--schedule", str(sched)] if schedule else []
+        code = run_cli(
+            "simulate", "--instance", str(inst),
+            "--solution", str(tmp_path / f"fig1.instance.ref-{ref}-afd.json"), *flags,
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_seq_crash_flag_is_an_error(self, tmp_path, capsys):
         # a seq run crashes agents by schedule lines only
@@ -559,6 +613,16 @@ class TestBench:
         assert (row["instance_id"], row["outcome"], row["failure_reason"]) == (
             "m8-n1-f2-s0", "failure", "giveup")
         assert (row["runtime_ms"], row["cost_normalized"]) == ("0", "")
+
+    @pytest.mark.parametrize("key", ["map", "n", "f", "seeds"])
+    def test_missing_config_key_is_an_error(self, tmp_path, capsys, key):
+        (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v for k, v in self.CONFIG.items() if k != key}))
+        out = tmp_path / "results.csv"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: bench config: missing key {key!r}\n"
+        assert not out.exists()
 
     def test_unknown_config_key_is_an_error(self, tmp_path):
         (tmp_path / "m8.map").write_text(random_grid_map(8, 8, seed=0))

@@ -40,6 +40,20 @@ def path_graph(k):
     return Graph.build(k, [(i, i + 1) for i in range(k - 1)])
 
 
+def with_plan(sol, a, plan):
+    """``sol`` with agent a's plan replaced by ``plan``."""
+    plans = list(sol.plans)
+    plans[a] = plan
+    return dataclasses.replace(sol, plans=tuple(plans))
+
+
+def with_rule(sol, **change):
+    """``sol`` with agent 1's first rule changed."""
+    plan = sol.plans[1]
+    rules = (dataclasses.replace(plan.rules[0], **change),) + plan.rules[1:]
+    return with_plan(sol, 1, dataclasses.replace(plan, rules=rules))
+
+
 class TestGraph:
     def test_build_dedupes_and_sorts(self):
         g = Graph.build(4, [(1, 0), (0, 1), (2, 1), (2, 3)])
@@ -54,6 +68,15 @@ class TestGraph:
     def test_build_rejects_bad_vertex(self):
         with pytest.raises(ValueError):
             Graph.build(3, [(0, 3)])
+
+    @pytest.mark.parametrize("n, edges, coords, message", [
+        (-1, [], None, "vertex count must be non-negative"),
+        (3, [(0, 1, 2)], None, r"edge \(0, 1, 2\) is not a pair"),
+        (3, [(0, 1)], ((0, 0), (1, 0)), "coords length must equal vertex count"),
+    ], ids=["negative-n", "edge-not-a-pair", "coords-length"])
+    def test_build_refusals(self, n, edges, coords, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.build(n, edges, coords=coords)
 
     def test_undirected_symmetry(self):
         g = Graph.build(3, [(0, 2)])
@@ -170,6 +193,14 @@ class TestInstanceValidation:
     def test_duplicate_goals(self):
         inst = Instance(graph=path_graph(4), starts=(0, 1), goals=(3, 3), f=1)
         assert validate_instance(inst) == ["goals are not pairwise distinct"]
+
+    @pytest.mark.parametrize("f, problems", [
+        (-1, ["crash budget f must be >= 0, got -1"]),
+        (3, ["crash budget f=3 exceeds number of agents"]),
+    ], ids=["negative", "above-agents"])
+    def test_crash_budget_range(self, f, problems):
+        inst = Instance(graph=path_graph(4), starts=(0, 3), goals=(3, 0), f=f)
+        assert validate_instance(inst) == problems
 
 
 class TestNecessaryCondition:
@@ -350,6 +381,22 @@ class TestSolutionValidation:
         sol = Solution(model=SEQ, fd=AFD, plans=(plan_i, plan_j))
         assert any("wait" in p for p in validate_solution(fx.instance, sol))
         assert g.has_edge(0, 1)  # the path itself is otherwise fine
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda sol: dataclasses.replace(sol, model="async"), "unknown model 'async'"),
+        (lambda sol: dataclasses.replace(sol, fd="xfd"), "unknown failure detector 'xfd'"),
+        (lambda sol: with_plan(sol, 0, Plan(paths=())), "agent 0: no paths"),
+        (lambda sol: with_plan(sol, 0, Plan(paths=((0, 2),))),
+         "agent 0 path 0: 0->2 is not an edge"),
+        (lambda sol: with_rule(sol, to_path=5), "agent 1 rule 0@1: to_path out of range"),
+        (lambda sol: with_rule(sol, at_index=9), "agent 1 rule 0@9: at_index outside path"),
+        (lambda sol: with_rule(sol, trigger=crashed(7)),
+         "agent 1 rule 0@1: trigger names unknown agent 7"),
+    ], ids=["model", "detector", "no-paths", "not-an-edge", "to-path", "at-index",
+            "unknown-agent"])
+    def test_refusals(self, edit, message):
+        fx = fixture("fig1")
+        assert message in validate_solution(fx.instance, edit(fx.solutions[0]))
 
     def test_trigger_cannot_name_owner(self):
         fx = fixture("fig1")

@@ -124,7 +124,8 @@ class TestForcedPrimaries:
         (((), (3, 1, 4)), "agent 0 path 0: empty path"),
         (((1, 2), (3, 1, 4)), "agent 0: primary path does not begin at its start"),
         (((0, 1), (3, 1, 4)), "forced path of agent 0 does not end at its goal"),
-    ], ids=["empty", "wrong-start", "wrong-goal"])
+        (((0, 1, 2),), "expected 2 plans, got 1"),
+    ], ids=["empty", "wrong-start", "wrong-goal", "wrong-count"])
     def test_malformed_primaries_are_refused(self, forced, message):
         with pytest.raises(ValueError, match=message):
             solve(fixture("fig1").instance, SolverConfig(initial_paths=forced))
@@ -581,7 +582,7 @@ def scratch_alts(planner, cands, a, p):
     each rule on the path's parent chain, with no agent crashed twice."""
     alts = {frozenset(pick) for pick in itertools.product(*parent_chain(planner, cands, a, p))
             if len({c.agent for c in set(pick)}) == len(set(pick))}
-    return tuple(sorted(alts, key=sorted))
+    return frozenset(alts)
 
 
 class TestBackupAlternatives:

@@ -44,6 +44,15 @@ class TestParseMap:
         with pytest.raises(ValueError):
             fileio.parse_map("type octile\nheight 1\nwidth 2\nmap\n.z\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("type octile\nheight 1\n", "map header truncated: need 4 header lines"),
+        ("type octile\nheight 1\nwidth 1\nmop\n.\n", "map header line 4: expected 'map'"),
+        ("type octile\nheight 2\nwidth 1\nmap\n.\n", "map body: expected 2 rows, found 1"),
+    ], ids=["truncated-header", "line-4", "too-few-rows"])
+    def test_header_and_body_refusals(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            fileio.parse_map(text)
+
     def test_terrain_glyphs(self):
         g = fileio.parse_map("type octile\nheight 1\nwidth 4\nmap\n.G@T\n")
         assert g.n == 2  # G walkable, @ and T blocked
@@ -67,6 +76,16 @@ class TestScen:
         text = fileio.scen_text(g, [(0, 15)], "mini.map", 4, 4)
         with pytest.raises(ValueError):
             fileio.parse_scen(text, 2, g)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0\tm.map\t4\t4\t0\t0\t3", "scenario row needs 8\\+ tab-separated fields"),
+        ("0\tm.map\t4\t4\t0\tx\t3\t3\t0", "scenario row has non-integer coordinates"),
+        ("0\tm.map\t4\t4\t1\t1\t3\t3\t0", r"scenario cell \(1, 1\) is blocked or off-map"),
+    ], ids=["short-row", "non-integer", "blocked-cell"])
+    def test_row_refusals(self, row, message):
+        g = grid_graph(4, 4, {(1, 1)})
+        with pytest.raises(ValueError, match=message):
+            fileio.parse_scen(f"version 1\n{row}\n", 1, g)
 
     def test_needs_coordinates(self):
         from mappcf.core import Graph

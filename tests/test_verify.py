@@ -333,6 +333,24 @@ class TestGuards:
         assert verify_seq(inst, sol, f=2, state_cap=full.states_explored).ok
         r = verify_seq(inst, sol, f=2, state_cap=290)
         assert r.status == "too_large" and r.states_explored > 290
+        # the first group spends a cap of 287, so the second group's
+        # initial state is one state too many
+        r = verify_seq(inst, sol, f=2, state_cap=287)
+        assert r.status == "too_large" and r.states_explored == 288
+
+    def test_cap_counts_the_initial_state(self):
+        # agent 0 watches agent 1's start, so the two are one group, and
+        # one round settles both: the graph is its initial state alone
+        g = Graph.build(4, [(0, 1), (2, 3), (0, 2)])
+        inst = Instance(g, (0, 2), (1, 3), f=1)
+        sol = Solution(SYN, NFD, (
+            Plan(((0, 1), (0, 1)), (TransitionRule(0, 1, 2, crashed(1), 1),)),
+            Plan(((2, 3),)),
+        ))
+        assert verify(inst, sol).states_explored == 1
+        assert verify(inst, sol, state_cap=1).ok
+        r = verify(inst, sol, state_cap=0)
+        assert r.status == "too_large" and r.states_explored == 1
 
     def test_dispatcher_uses_solution_model(self):
         fx = fixture("fig1")
